@@ -157,12 +157,8 @@ int Run(int argc, char** argv) {
   constexpr int kReps = 11;
   constexpr int kAclDraws = 5;  // average over independent ACL instances
   EvalOptions plain_opts;  // non-secure NoK
-  EvalOptions noview_opts;  // e-NoK through codebook + header recomputation
-  noview_opts.semantics = AccessSemantics::kBinding;
-  noview_opts.use_view = false;
-  EvalOptions view_opts;  // e-NoK through the subject-compiled access view
-  view_opts.semantics = AccessSemantics::kBinding;
-  view_opts.use_view = true;
+  EvalOptions secure_opts;  // e-NoK against the subject's codebook column
+  secure_opts.semantics = AccessSemantics::kBinding;
 
   std::vector<bench::Json> points;
   // Summed over every secure run of the bench; the DOL layout makes this
@@ -170,44 +166,37 @@ int Run(int argc, char** argv) {
   uint64_t extra_access_io = 0;
   for (int qi = 0; qi < 3; ++qi) {
     std::printf("\nQ%d: %s\n", qi + 1, kQueries[qi]);
-    std::printf("%-6s %14s %14s %14s %10s %10s %10s %11s %11s\n", "acc%",
-                "ratio(view)", "ratio(noview)", "answer ratio", "NoK ms",
-                "eNoK ms", "eNoKv ms", "eNoK reads", "eNoK skips");
+    std::printf("%-6s %12s %14s %10s %10s %11s %11s\n", "acc%", "time ratio",
+                "answer ratio", "NoK ms", "eNoK ms", "eNoK reads",
+                "eNoK skips");
     // 50-80% is the published sweep; 90/100% isolate the pure overhead of
     // the accessibility checks (at 100% nothing is pruned, so the time
     // ratio is exactly the paper's "worst case ~2%" figure).
     for (int acc : {50, 60, 70, 80, 90, 100}) {
-      double plain_s = 0, noview_s = 0, view_s = 0;
+      double plain_s = 0, secure_s = 0;
       double plain_ans = 0, secure_ans = 0;
       uint64_t reads = 0, skips = 0;
-      ExecStats exec;  // summed over draws, view variant
+      ExecStats exec;  // summed over draws, secure variant
       for (int draw = 0; draw < kAclDraws; ++draw) {
         auto f = Build(doc, acc / 100.0, /*extra_subjects=*/15,
                        4242 + static_cast<uint64_t>(draw));
         if (f == nullptr) return 1;
         std::vector<RunResult> runs = RunQuery(
-            f->store.get(), kQueries[qi],
-            {plain_opts, noview_opts, view_opts}, kReps);
-        RunResult plain = runs[0], noview = runs[1], view = runs[2];
+            f->store.get(), kQueries[qi], {plain_opts, secure_opts}, kReps);
+        RunResult plain = runs[0], secure = runs[1];
         plain_s += plain.seconds;
-        noview_s += noview.seconds;
-        view_s += view.seconds;
+        secure_s += secure.seconds;
         plain_ans += static_cast<double>(plain.answers);
-        secure_ans += static_cast<double>(view.answers);
-        reads += view.page_reads;
-        skips += view.pages_skipped;
-        exec += view.exec;
-        extra_access_io += view.exec.access_only_fetches +
-                           noview.exec.access_only_fetches;
+        secure_ans += static_cast<double>(secure.answers);
+        reads += secure.page_reads;
+        skips += secure.pages_skipped;
+        exec += secure.exec;
+        extra_access_io += secure.exec.access_only_fetches;
       }
-      double ratio_view = plain_s > 0 ? view_s / plain_s : 0.0;
-      double ratio_noview = plain_s > 0 ? noview_s / plain_s : 0.0;
-      std::printf("%-6d %14.3f %14.3f %14.3f %10.2f %10.2f %10.2f %11.1f "
-                  "%11.1f\n",
-                  acc, ratio_view, ratio_noview,
-                  plain_ans > 0 ? secure_ans / plain_ans : 0.0,
-                  plain_s / kAclDraws * 1000, noview_s / kAclDraws * 1000,
-                  view_s / kAclDraws * 1000,
+      double ratio = plain_s > 0 ? secure_s / plain_s : 0.0;
+      std::printf("%-6d %12.3f %14.3f %10.2f %10.2f %11.1f %11.1f\n", acc,
+                  ratio, plain_ans > 0 ? secure_ans / plain_ans : 0.0,
+                  plain_s / kAclDraws * 1000, secure_s / kAclDraws * 1000,
                   static_cast<double>(reads) / kAclDraws,
                   static_cast<double>(skips) / kAclDraws);
       points.push_back(
@@ -215,10 +204,8 @@ int Run(int argc, char** argv) {
               .Set("query", "Q" + std::to_string(qi + 1))
               .Set("accessibility_pct", acc)
               .Set("nok_ms", plain_s / kAclDraws * 1000)
-              .Set("enok_noview_ms", noview_s / kAclDraws * 1000)
-              .Set("enok_view_ms", view_s / kAclDraws * 1000)
-              .Set("time_ratio_view", ratio_view)
-              .Set("time_ratio_noview", ratio_noview)
+              .Set("enok_ms", secure_s / kAclDraws * 1000)
+              .Set("time_ratio", ratio)
               .Set("answer_ratio",
                    plain_ans > 0 ? secure_ans / plain_ans : 0.0)
               .Set("enok_page_reads",
@@ -242,11 +229,10 @@ int Run(int argc, char** argv) {
   std::vector<bench::Json> low_points;
   for (size_t extra_subjects : {15u, 0u}) {
     std::printf("\n%zu subject(s):\n", extra_subjects + 1);
-    std::printf("%-6s %14s %14s %12s %12s %12s %12s\n", "acc%", "ratio(view)",
-                "ratio(noview)", "NoK reads", "eNoK reads", "eNoK skips",
-                "answers");
+    std::printf("%-6s %12s %12s %12s %12s %12s\n", "acc%", "time ratio",
+                "NoK reads", "eNoK reads", "eNoK skips", "answers");
     for (int acc : {5, 10, 20}) {
-      double plain_s = 0, noview_s = 0, view_s = 0;
+      double plain_s = 0, secure_s = 0;
       uint64_t plain_reads = 0, secure_reads = 0, skips = 0;
       size_t answers = 0;
       ExecStats exec;
@@ -255,24 +241,19 @@ int Run(int argc, char** argv) {
                        1000 + static_cast<uint64_t>(draw));
         if (f == nullptr) return 1;
         std::vector<RunResult> runs = RunQuery(
-            f->store.get(), low_query, {plain_opts, noview_opts, view_opts},
-            kReps);
-        RunResult plain = runs[0], noview = runs[1], view = runs[2];
+            f->store.get(), low_query, {plain_opts, secure_opts}, kReps);
+        RunResult plain = runs[0], secure = runs[1];
         plain_s += plain.seconds;
-        noview_s += noview.seconds;
-        view_s += view.seconds;
+        secure_s += secure.seconds;
         plain_reads += plain.page_reads;
-        secure_reads += view.page_reads;
-        skips += view.pages_skipped;
-        answers += view.answers;
-        exec += view.exec;
-        extra_access_io += view.exec.access_only_fetches +
-                           noview.exec.access_only_fetches;
+        secure_reads += secure.page_reads;
+        skips += secure.pages_skipped;
+        answers += secure.answers;
+        exec += secure.exec;
+        extra_access_io += secure.exec.access_only_fetches;
       }
-      double ratio_view = plain_s > 0 ? view_s / plain_s : 0.0;
-      double ratio_noview = plain_s > 0 ? noview_s / plain_s : 0.0;
-      std::printf("%-6d %14.3f %14.3f %12.1f %12.1f %12.1f %12.1f\n", acc,
-                  ratio_view, ratio_noview,
+      double ratio = plain_s > 0 ? secure_s / plain_s : 0.0;
+      std::printf("%-6d %12.3f %12.1f %12.1f %12.1f %12.1f\n", acc, ratio,
                   static_cast<double>(plain_reads) / kAclDraws,
                   static_cast<double>(secure_reads) / kAclDraws,
                   static_cast<double>(skips) / kAclDraws,
@@ -283,10 +264,8 @@ int Run(int argc, char** argv) {
               .Set("subjects", static_cast<uint64_t>(extra_subjects + 1))
               .Set("accessibility_pct", acc)
               .Set("nok_ms", plain_s / kAclDraws * 1000)
-              .Set("enok_noview_ms", noview_s / kAclDraws * 1000)
-              .Set("enok_view_ms", view_s / kAclDraws * 1000)
-              .Set("time_ratio_view", ratio_view)
-              .Set("time_ratio_noview", ratio_noview)
+              .Set("enok_ms", secure_s / kAclDraws * 1000)
+              .Set("time_ratio", ratio)
               .Set("nok_page_reads",
                    static_cast<double>(plain_reads) / kAclDraws)
               .Set("enok_page_reads",
@@ -303,12 +282,12 @@ int Run(int argc, char** argv) {
   // sweep above legitimately reports 0 skips.
   std::printf("\nClustered ACLs (16 subjects, one shared draw), %s:\n",
               low_query.c_str());
-  std::printf("%-6s %14s %12s %12s %12s\n", "acc%", "ratio(view)",
+  std::printf("%-6s %12s %12s %12s %12s\n", "acc%", "time ratio",
               "eNoK reads", "eNoK skips", "answers");
   std::vector<bench::Json> clustered_points;
   uint64_t clustered_skips = 0;
   for (int acc : {5, 10, 20}) {
-    double plain_s = 0, view_s = 0;
+    double plain_s = 0, secure_s = 0;
     uint64_t secure_reads = 0, skips = 0;
     size_t answers = 0;
     ExecStats exec;
@@ -317,19 +296,19 @@ int Run(int argc, char** argv) {
                               2000 + static_cast<uint64_t>(draw));
       if (f == nullptr) return 1;
       std::vector<RunResult> runs = RunQuery(
-          f->store.get(), low_query, {plain_opts, view_opts}, kReps);
-      RunResult plain = runs[0], view = runs[1];
+          f->store.get(), low_query, {plain_opts, secure_opts}, kReps);
+      RunResult plain = runs[0], secure = runs[1];
       plain_s += plain.seconds;
-      view_s += view.seconds;
-      secure_reads += view.page_reads;
-      skips += view.pages_skipped;
-      answers += view.answers;
-      exec += view.exec;
-      extra_access_io += view.exec.access_only_fetches;
+      secure_s += secure.seconds;
+      secure_reads += secure.page_reads;
+      skips += secure.pages_skipped;
+      answers += secure.answers;
+      exec += secure.exec;
+      extra_access_io += secure.exec.access_only_fetches;
     }
     clustered_skips += skips;
-    std::printf("%-6d %14.3f %12.1f %12.1f %12.1f\n", acc,
-                plain_s > 0 ? view_s / plain_s : 0.0,
+    std::printf("%-6d %12.3f %12.1f %12.1f %12.1f\n", acc,
+                plain_s > 0 ? secure_s / plain_s : 0.0,
                 static_cast<double>(secure_reads) / kAclDraws,
                 static_cast<double>(skips) / kAclDraws,
                 static_cast<double>(answers) / kAclDraws);
@@ -339,8 +318,8 @@ int Run(int argc, char** argv) {
             .Set("subjects", 16)
             .Set("accessibility_pct", acc)
             .Set("nok_ms", plain_s / kAclDraws * 1000)
-            .Set("enok_view_ms", view_s / kAclDraws * 1000)
-            .Set("time_ratio_view", plain_s > 0 ? view_s / plain_s : 0.0)
+            .Set("enok_ms", secure_s / kAclDraws * 1000)
+            .Set("time_ratio", plain_s > 0 ? secure_s / plain_s : 0.0)
             .Set("enok_page_reads",
                  static_cast<double>(secure_reads) / kAclDraws)
             .Set("enok_pages_skipped",

@@ -1,12 +1,13 @@
 // Microbenchmarks for the access-check hot path of Section 3.3: in-memory
 // header fast path vs in-page transition search, logical CodeAt binary
 // search, codebook interning, full secure vs non-secure NPM matching, and
-// the subject-compiled view (SubjectView) against the direct codebook path.
+// the subject's codebook column (the table every secure cursor checks
+// against) against the direct codebook probe.
 //
 // Two layers:
 //  - a manual probe (runs first, also in --smoke mode) that times the
 //    innermost per-node ACCESS check through the codebook bit probe vs the
-//    compiled view's byte table and writes BENCH_lookup_micro.json,
+//    column bit test and writes BENCH_lookup_micro.json,
 //  - the google-benchmark suite for the surrounding machinery (skipped in
 //    --smoke mode so the CI smoke target stays fast).
 
@@ -21,7 +22,6 @@
 #include "common/timer.h"
 #include "core/dol_labeling.h"
 #include "core/secure_store.h"
-#include "core/subject_view.h"
 #include "query/evaluator.h"
 #include "storage/paged_file.h"
 #include "workload/synthetic_acl.h"
@@ -100,44 +100,31 @@ void BM_PageHeaderSkipTest(benchmark::State& state) {
 }
 BENCHMARK(BM_PageHeaderSkipTest);
 
-void BM_PageVerdictView(benchmark::State& state) {
-  Fixture* f = GetFixture();
-  auto view = *f->store->View(7);
-  Rng rng(4);
-  size_t pages = view->num_pages();
-  for (auto _ : state) {
-    size_t p = rng.Uniform(pages);
-    benchmark::DoNotOptimize(view->PageWhollyDead(p));
-  }
-}
-BENCHMARK(BM_PageVerdictView);
-
 void BM_TwigQuery(benchmark::State& state) {
   Fixture* f = GetFixture();
   QueryEvaluator eval(f->store.get());
   EvalOptions opts;
   opts.semantics = state.range(0) == 0 ? AccessSemantics::kNone
                                        : AccessSemantics::kBinding;
-  opts.use_view = state.range(0) == 2;
   for (auto _ : state) {
     auto r = eval.EvaluateXPath(
         "/site/regions/africa/item[location][name][quantity]", opts);
     benchmark::DoNotOptimize(r.ok() ? r->answers.size() : 0);
   }
 }
-BENCHMARK(BM_TwigQuery)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_TwigQuery)->Arg(0)->Arg(1);
 
-// --- Manual probe: per-node ACCESS check, codebook vs compiled view ------
+// --- Manual probe: per-node ACCESS check, codebook vs column -------------
 //
 // The production-shaped case: a multi-user store whose codebook has many
 // distinct ACLs over many subjects (the paper's Livelink dataset interned
 // 8639 ACLs). The codebook path chases two dependent pointers per check
 // (entry vector -> per-entry ACL words), so at this size every probe
-// misses cache; the compiled view's byte table stays resident.
+// misses cache; the subject's column (one bit per entry) stays resident.
 
 struct ProbeResult {
   double codebook_ns = 0;
-  double view_ns = 0;
+  double column_ns = 0;
   double speedup = 0;
   size_t entries = 0;
   size_t subjects = 0;
@@ -157,8 +144,11 @@ ProbeResult RunAccessCheckProbe(bool smoke) {
     (void)cb.Intern(acl);
   }
   const SubjectId subject = 7;
-  SubjectView view =
-      SubjectView::Compile(cb, std::vector<NokStore::PageInfo>(), subject);
+  const BitVector column = cb.Column(subject);
+  // The cursors' check: one bit test, out-of-range codes deny.
+  auto column_check = [&](uint32_t c) {
+    return c < column.size() && column.GetUnchecked(c) ? 1 : 0;
+  };
 
   // Pre-drawn random code sequence, power-of-two length so the replay
   // costs one mask per lookup in both variants.
@@ -192,24 +182,24 @@ ProbeResult RunAccessCheckProbe(bool smoke) {
   r.iterations = iters;
   // Warm both paths once, then measure.
   (void)run([&](uint32_t c) { return cb.Accessible(c, subject) ? 1 : 0; });
-  (void)run([&](uint32_t c) { return view.CodeAccessible(c) ? 1 : 0; });
+  (void)run(column_check);
   r.codebook_ns =
       run([&](uint32_t c) { return cb.Accessible(c, subject) ? 1 : 0; });
-  r.view_ns = run([&](uint32_t c) { return view.CodeAccessible(c) ? 1 : 0; });
-  r.speedup = r.view_ns > 0 ? r.codebook_ns / r.view_ns : 0;
+  r.column_ns = run(column_check);
+  r.speedup = r.column_ns > 0 ? r.codebook_ns / r.column_ns : 0;
   return r;
 }
 
 int RunManualProbes(bool smoke) {
   bench::Banner(std::string("Per-node ACCESS check: codebook bit probe vs "
-                            "subject-compiled view") +
+                            "subject column bit test") +
                 (smoke ? " [smoke]" : ""));
   ProbeResult r = RunAccessCheckProbe(smoke);
   std::printf("codebook entries=%zu subjects=%zu iterations=%llu\n",
               r.entries, r.subjects,
               static_cast<unsigned long long>(r.iterations));
   std::printf("codebook path: %.2f ns/check\n", r.codebook_ns);
-  std::printf("compiled view: %.2f ns/check\n", r.view_ns);
+  std::printf("column bit:    %.2f ns/check\n", r.column_ns);
   std::printf("speedup:       %.2fx\n", r.speedup);
   if (r.speedup < 2.0) {
     std::printf("WARNING: below the 2x acceptance threshold\n");
@@ -223,8 +213,8 @@ int RunManualProbes(bool smoke) {
           .Set("subjects", static_cast<uint64_t>(r.subjects))
           .Set("iterations", r.iterations)
           .Set("codebook_ns_per_check", r.codebook_ns)
-          .Set("view_ns_per_check", r.view_ns)
-          .Set("view_speedup", r.speedup));
+          .Set("column_ns_per_check", r.column_ns)
+          .Set("column_speedup", r.speedup));
   return 0;
 }
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Lint: the query and core layers must reach NoK pages through the execution
 # layer (src/exec), never through the raw scan primitives. The exec layer is
-# where fetch, DOL decode, ACCESS check, check-free elision, dead-page skip
-# and readahead hints are fused — a direct call site bypasses the ExecStats
+# where fetch, DOL decode, ACCESS check, dead-page skip and readahead hints
+# are fused — a direct call site bypasses the ExecStats
 # accounting and reintroduces the per-caller access-check copies this layer
 # removed.
 #
@@ -10,10 +10,11 @@
 #   - src/core/secure_store.cc: PageTransitions on the UPDATE/extract paths
 #     (SetRangeAccess page rewrite, CompactCodebook remap, ExtractLabeling);
 #   - src/core/secure_store.{h,cc}: Codebook::Accessible for the point-probe
-#     oracle SecureStore::Accessible and the header-only first_code
-#     classification feeding SubjectView::ClassifyPage;
+#     oracle SecureStore::Accessible, the header-only first_code
+#     classification feeding ClassifyPage (SecureStore::PageWholly*), and
+#     the column-cache extension at commit;
 #   - src/core/dol_labeling.h: the labeling's own definition of node
-#     accessibility (the exec LabelStreamCursor's non-view fallback).
+#     accessibility (the oracle LabelStreamCursor is tested against).
 #
 # Run from the repo root; exits nonzero listing any violation.
 

@@ -370,16 +370,11 @@ Status SecureStore::CommitStaged(uint32_t wal_type, const std::string& payload,
     lsn = appended.value();
   }
 
-  // Capture the staged directory before publication: after the commit this
-  // thread's own pins (if any) would alias an older snapshot.
-  const std::vector<NokStore::PageInfo> pages = nok_->page_infos();
-
-  NokStore::UpdateDelta delta;
   std::shared_ptr<const Codebook> old_codebook;
   EpochManager::Epoch old_epoch = 0;
   {
     std::lock_guard<std::mutex> lock(snapshot_mu_);
-    Status committed = nok_->CommitUpdate(&delta);
+    Status committed = nok_->CommitUpdate();
     if (!committed.ok()) {
       AbortStaged();
       return committed;
@@ -394,7 +389,7 @@ Status SecureStore::CommitStaged(uint32_t wal_type, const std::string& payload,
     applied_lsn_.store(lsn, std::memory_order_relaxed);
     old_epoch = epochs_.current();
     EpochManager::Epoch new_epoch = epochs_.Advance();
-    MaintainCaches(effect, delta, pages, codebook_, new_epoch, old_codes);
+    MaintainCaches(effect, *codebook_, new_epoch, old_codes);
     // External caches are told about the commit while snapshot_mu_ is still
     // held: a fresh SnapshotPin also takes snapshot_mu_, so no reader can
     // pin new_epoch before every hook has finished invalidating — the
@@ -413,42 +408,32 @@ Status SecureStore::CommitStaged(uint32_t wal_type, const std::string& payload,
   return Status::OK();
 }
 
-void SecureStore::MaintainCaches(CacheEffect effect,
-                                 const NokStore::UpdateDelta& delta,
-                                 const std::vector<NokStore::PageInfo>& pages,
-                                 const std::shared_ptr<const Codebook>& cb,
+void SecureStore::MaintainCaches(CacheEffect effect, const Codebook& cb,
                                  EpochManager::Epoch new_epoch,
                                  size_t old_codebook_size) {
   std::lock_guard<std::mutex> hidden_lock(hidden_cache_mu_);
-  std::lock_guard<std::mutex> view_lock(view_cache_mu_);
   std::lock_guard<std::mutex> column_lock(column_cache_mu_);
   switch (effect) {
     case CacheEffect::kDropAll:
-      counters_.views_dropped.fetch_add(view_cache_.size(),
-                                        std::memory_order_relaxed);
       hidden_cache_.clear();
-      view_cache_.clear();
       column_cache_.clear();
       break;
     case CacheEffect::kSubjectAdded:
-      // A new subject column changes nothing an existing subject's view,
-      // column, or hidden intervals depend on — restamp only.
+      // A new subject column changes nothing an existing subject's column
+      // or hidden intervals depend on — restamp only.
       break;
     case CacheEffect::kPatch: {
       // Hidden intervals are whole-document aggregates; recompute lazily.
       hidden_cache_.clear();
-      for (auto& [subject, view] : view_cache_) {
-        view = std::make_shared<const SubjectView>(
-            SubjectView::Patched(*view, *cb, pages, delta));
-        counters_.views_patched.fetch_add(1, std::memory_order_relaxed);
-      }
       // ACL updates only append codebook entries, so a cached column is
-      // extended in place, never recomputed.
+      // extended in place, never recomputed. Readers never hold a reference
+      // into the cache (SubjectColumn hands out copies), so growing the
+      // bit vector here cannot race with a scan in flight.
       for (auto& [subject, column] : column_cache_) {
         SECXML_DCHECK(column.size() == old_codebook_size);
-        for (size_t code = old_codebook_size; code < cb->size(); ++code) {
+        for (size_t code = old_codebook_size; code < cb.size(); ++code) {
           column.PushBack(
-              cb->Accessible(static_cast<AccessCodeId>(code), subject));
+              cb.Accessible(static_cast<AccessCodeId>(code), subject));
         }
         counters_.columns_patched.fetch_add(1, std::memory_order_relaxed);
       }
@@ -456,7 +441,6 @@ void SecureStore::MaintainCaches(CacheEffect effect,
     }
   }
   hidden_cache_epoch_ = new_epoch;
-  view_cache_epoch_ = new_epoch;
   column_cache_epoch_ = new_epoch;
 }
 
@@ -702,8 +686,8 @@ Status SecureStore::RemoveSubjectLocked(SubjectId subject) {
   }
   std::string payload;
   PutU32(&payload, subject);
-  // Remaining subjects renumber: views and columns are keyed by subject id,
-  // so everything recompiles lazily under the new epoch.
+  // Remaining subjects renumber: columns and hidden intervals are keyed by
+  // subject id, so everything recomputes lazily under the new epoch.
   return CommitStaged(kWalRemoveSubject, payload, CacheEffect::kDropAll,
                       {CommitEvent::Kind::kShapeChange, 0, 0, 0});
 }
@@ -954,28 +938,27 @@ Result<bool> SecureStore::Accessible(SubjectId subject, NodeId node) {
   return cb.Accessible(code, subject);
 }
 
-Result<std::shared_ptr<const SubjectView>> SecureStore::View(
-    SubjectId subject) {
+Result<BitVector> SecureStore::SubjectColumn(SubjectId subject) {
   SnapshotPin pin(this);
   const Codebook& cb = codebook();
   if (subject >= cb.num_subjects()) {
     return Status::InvalidArgument("no such subject");
   }
-  // Held across the miss: concurrent first users of one subject serialize
-  // briefly and share one compilation. Compilation reads pages through this
-  // thread's pin, so it sees exactly the pinned snapshot. A caller at an
-  // older epoch (stamp mismatch) compiles from its snapshot without
-  // polluting the cache.
-  std::lock_guard<std::mutex> lock(view_cache_mu_);
-  const bool current = view_cache_epoch_ == pin.epoch();
-  if (current) {
-    auto it = view_cache_.find(subject);
-    if (it != view_cache_.end()) return it->second;
-  }
-  auto view = std::make_shared<const SubjectView>(
-      SubjectView::Compile(cb, nok_->page_infos(), subject, nok_.get()));
-  if (current) view_cache_.emplace(subject, view);
-  return view;
+  // A caller at an older epoch than the cache serves (stamp mismatch)
+  // computes from its pinned codebook without polluting the cache.
+  std::lock_guard<std::mutex> lock(column_cache_mu_);
+  if (column_cache_epoch_ != pin.epoch()) return cb.Column(subject);
+  return *CachedColumnLocked(cb, subject);
+}
+
+const BitVector* SecureStore::CachedColumnLocked(const Codebook& cb,
+                                                 SubjectId subject) {
+  auto it = column_cache_.find(subject);
+  if (it != column_cache_.end()) return &it->second;
+  // Unknown ids get no entry: a later AddSubject could make the id valid
+  // with different rights than the fail-closed all-denied column.
+  if (subject >= cb.num_subjects()) return nullptr;
+  return &column_cache_.emplace(subject, cb.Column(subject)).first->second;
 }
 
 Result<std::vector<NodeInterval>> SecureStore::HiddenSubtreeIntervals(
@@ -999,17 +982,24 @@ Result<std::vector<NodeInterval>> SecureStore::HiddenSubtreeIntervals(
 
 Result<std::vector<NodeInterval>> SecureStore::ComputeHiddenSubtreeIntervals(
     SubjectId subject, ExecStats* stats) {
-  // The compiled view answers both per-page verdicts and the inner
-  // per-code test with one indexed load each. View() takes view_cache_mu_
-  // underneath our caller's hidden_cache_mu_ — the fixed hidden->view
-  // order also used by MaintainCaches.
-  SECXML_ASSIGN_OR_RETURN(std::shared_ptr<const SubjectView> view,
-                          View(subject));
+  // The subject's column answers the inner per-code test with one bit
+  // load. SubjectColumn() takes column_cache_mu_ underneath our caller's
+  // hidden_cache_mu_ — the fixed hidden->column order also used by
+  // MaintainCaches.
+  SECXML_ASSIGN_OR_RETURN(const BitVector column, SubjectColumn(subject));
+  auto code_accessible = [&column](uint32_t code) {
+    return code < column.size() && column.GetUnchecked(code);
+  };
+  auto wholly_live = [&](size_t ordinal) {
+    const NokStore::PageInfo& info = nok_->page_infos()[ordinal];
+    return ClassifyPage(info, code_accessible(info.first_code)) ==
+           PageVerdict::kLive;
+  };
   std::vector<NodeInterval> hidden;
   NodeId blocked_end = 0;  // exclusive end of the current hidden interval
 
   // Page-scoped iteration through the exec layer: the sweep visits pages
-  // in document order and (mostly) fetches those the view cannot prove
+  // in document order and (mostly) fetches those the header cannot prove
   // wholly live, so stream those in ahead of the cursor. Wholly-live pages
   // are only ever fetched when a hidden subtree spills into them — rare
   // enough that missing the prefetch there just costs a synchronous read.
@@ -1018,23 +1008,17 @@ Result<std::vector<NodeInterval>> SecureStore::ComputeHiddenSubtreeIntervals(
   // exclusive-updates contract).
   ExecStats local;
   if (stats == nullptr) stats = &local;
-  PageSweep sweep(
-      nok_.get(),
-      [&view](size_t ord) { return view->PageCheckFree(ord); }, stats);
+  PageSweep sweep(nok_.get(), wholly_live, stats);
 
   for (size_t ordinal = 0; ordinal < nok_->num_pages(); ++ordinal) {
     const NokStore::PageInfo& info = nok_->page_infos()[ordinal];
     NodeId page_begin = info.first_node;
     NodeId page_end = info.first_node + info.num_records;
-    // Page skip from the compiled view: a page whose every node is
-    // accessible (check-free covers changed pages whose transitions are
-    // all live for this subject, which the header alone cannot prove)
+    // Page skip from the header: a page whose every node is accessible
     // beyond any hidden subtree cannot start a new hidden interval. Not
     // counted as pages_skipped — that counter belongs to the matcher's
     // cursor (see HiddenSubtreeIntervals).
-    if (view->PageCheckFree(ordinal) && page_begin >= blocked_end) {
-      continue;
-    }
+    if (wholly_live(ordinal) && page_begin >= blocked_end) continue;
     // A uniformly *inaccessible* page fully covered by the current hidden
     // interval also needs no inspection.
     if (page_end <= blocked_end) continue;
@@ -1053,7 +1037,7 @@ Result<std::vector<NodeInterval>> SecureStore::ComputeHiddenSubtreeIntervals(
       if (n < blocked_end) continue;  // inside an already-hidden subtree
       ++stats->nodes_scanned;
       ++stats->codes_checked;
-      if (view->CodeAccessible(code)) continue;
+      if (code_accessible(code)) continue;
       NokRecord rec = walker.RecordAt(slot);
       NodeId subtree_end = n + rec.subtree_size;
       if (!hidden.empty() && hidden.back().end == n) {
@@ -1080,19 +1064,13 @@ std::vector<SubjectClass> SecureStore::GroupSubjects(
   }
   // Mirror GroupSubjectsByColumn exactly (first-occurrence class order),
   // serving columns from the cache. Out-of-range subjects get the fail-
-  // closed all-denied column but are never cached: a later AddSubject could
-  // make the id valid with different rights.
+  // closed all-denied column, which is never cached.
   std::vector<SubjectClass> classes;
   std::unordered_map<BitVector, size_t, BitVectorHash> index;
   std::deque<BitVector> scratch;  // stable addresses for uncached columns
   for (SubjectId s : subjects) {
-    const BitVector* column;
-    auto it = column_cache_.find(s);
-    if (it != column_cache_.end()) {
-      column = &it->second;
-    } else if (s < cb.num_subjects()) {
-      column = &column_cache_.emplace(s, cb.Column(s)).first->second;
-    } else {
+    const BitVector* column = CachedColumnLocked(cb, s);
+    if (column == nullptr) {
       scratch.push_back(cb.Column(s));
       column = &scratch.back();
     }
@@ -1117,14 +1095,8 @@ ColumnFingerprint SecureStore::SubjectColumnFingerprint(SubjectId subject) {
   const Codebook& cb = codebook();
   std::unique_lock<std::mutex> lock(column_cache_mu_);
   if (column_cache_epoch_ == pin.epoch()) {
-    auto it = column_cache_.find(subject);
-    if (it == column_cache_.end() && subject < cb.num_subjects()) {
-      // Same admission rule as GroupSubjects: cache real subjects' columns,
-      // never the fail-closed column of an unknown id.
-      it = column_cache_.emplace(subject, cb.Column(subject)).first;
-    }
-    if (it != column_cache_.end()) {
-      return ColumnFingerprint::Of(it->second);
+    if (const BitVector* column = CachedColumnLocked(cb, subject)) {
+      return ColumnFingerprint::Of(*column);
     }
   }
   lock.unlock();
@@ -1133,10 +1105,8 @@ ColumnFingerprint SecureStore::SubjectColumnFingerprint(SubjectId subject) {
 
 void SecureStore::DropVisibilityCaches() {
   std::lock_guard<std::mutex> hidden_lock(hidden_cache_mu_);
-  std::lock_guard<std::mutex> view_lock(view_cache_mu_);
   std::lock_guard<std::mutex> column_lock(column_cache_mu_);
   hidden_cache_.clear();
-  view_cache_.clear();
   column_cache_.clear();
 }
 
@@ -1191,8 +1161,6 @@ SecureStore::UpdateStats SecureStore::update_stats() const {
       counters_.updates_replayed.load(std::memory_order_relaxed);
   s.epochs_advanced =
       counters_.epochs_advanced.load(std::memory_order_relaxed);
-  s.views_patched = counters_.views_patched.load(std::memory_order_relaxed);
-  s.views_dropped = counters_.views_dropped.load(std::memory_order_relaxed);
   s.columns_patched =
       counters_.columns_patched.load(std::memory_order_relaxed);
   s.checkpoints = counters_.checkpoints.load(std::memory_order_relaxed);

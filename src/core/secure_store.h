@@ -11,13 +11,13 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/bitvector.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "core/accessibility_map.h"
 #include "core/codebook.h"
 #include "core/dol_labeling.h"
 #include "core/epoch.h"
-#include "core/subject_view.h"
 #include "exec/exec_stats.h"
 #include "nok/nok_store.h"
 #include "storage/wal.h"
@@ -119,14 +119,15 @@ class SecureStore {
     uint64_t updates_applied = 0;   ///< committed updates (live, not replay)
     uint64_t updates_replayed = 0;  ///< updates re-executed from the WAL
     uint64_t epochs_advanced = 0;
-    uint64_t views_patched = 0;     ///< cached views maintained incrementally
-    uint64_t views_dropped = 0;     ///< cached views discarded (recompile)
+    /// Always 0: no commit maintains per-subject views any more; kept so
+    /// existing readers of UpdateStats still build.
+    uint64_t views_patched = 0;
     uint64_t columns_patched = 0;   ///< cached codebook columns extended
     uint64_t checkpoints = 0;
   };
 
   /// RAII epoch pin: while alive, every read made *on this thread* against
-  /// this store — codebook(), Accessible, page verdicts, View,
+  /// this store — codebook(), Accessible, page verdicts, SubjectColumn,
   /// HiddenSubtreeIntervals, GroupSubjects, and all NokStore reads — resolves
   /// against the snapshot that was committed when the pin was taken,
   /// regardless of concurrent update commits. Pins nest: an inner pin on the
@@ -244,21 +245,14 @@ class SecureStore {
   /// True if, judging from the in-memory page header alone, every node in
   /// the page is inaccessible to `subject` — the page-skipping test of
   /// Section 3.3. Never performs I/O; false means "must look inside".
-  /// Classification is shared with the compiled SubjectView verdict table
-  /// (SubjectView::ClassifyPage), so the two paths agree by construction.
+  /// Classified by ClassifyPage, like the cursors' page verdicts.
   bool PageWhollyInaccessible(size_t page_ordinal, SubjectId subject) const {
-    const NokStore::PageInfo& info = nok_->page_infos()[page_ordinal];
-    return SubjectView::ClassifyPage(
-               info, codebook().Accessible(info.first_code, subject)) ==
-           SubjectView::PageVerdict::kDead;
+    return Verdict(page_ordinal, subject) == PageVerdict::kDead;
   }
 
   /// Likewise, true if the header alone proves every node accessible.
   bool PageWhollyAccessible(size_t page_ordinal, SubjectId subject) const {
-    const NokStore::PageInfo& info = nok_->page_infos()[page_ordinal];
-    return SubjectView::ClassifyPage(
-               info, codebook().Accessible(info.first_code, subject)) ==
-           SubjectView::PageVerdict::kLive;
+    return Verdict(page_ordinal, subject) == PageVerdict::kLive;
   }
 
   // --- Updates (paper Section 3.4) -------------------------------------
@@ -268,10 +262,10 @@ class SecureStore {
   // (when a log is attached), and only then publishes the new snapshot and
   // advances the epoch. Any failure — staging error, WAL append error —
   // aborts the whole update and leaves the committed snapshot untouched.
-  // Cached SubjectViews and codebook columns are maintained *incrementally*
-  // at commit from the update's page delta (Proposition 1 keeps the delta
-  // small); only subject removal and codebook compaction, which renumber
-  // codes or subjects, drop caches for recompilation.
+  // Cached codebook columns are maintained *incrementally* at commit: ACL
+  // updates only append codebook entries, so each column is extended by the
+  // new entries' bits. Only subject removal and codebook compaction, which
+  // renumber codes or subjects, drop caches for recomputation.
 
   /// Sets `subject`'s accessibility for a single node. Touches only the
   /// node's page (read + write).
@@ -373,15 +367,14 @@ class SecureStore {
   Result<std::vector<NodeInterval>> HiddenSubtreeIntervals(
       SubjectId subject, ExecStats* stats = nullptr);
 
-  /// The compiled access view for `subject` (flat code->accessible table,
-  /// per-page verdicts, dead-run skip index — see SubjectView). Compiled on
-  /// first use and cached per epoch. At commit, an update patches the
-  /// cached views incrementally from its page delta (SubjectView::Patched)
-  /// instead of dropping them, so the next query pays O(delta) maintenance,
-  /// not a recompile; a view compiled for one epoch is never served at
-  /// another. Safe for concurrent callers; the returned shared_ptr keeps
-  /// the snapshot alive for the caller across later commits.
-  Result<std::shared_ptr<const SubjectView>> View(SubjectId subject);
+  /// `subject`'s codebook column under the calling thread's snapshot
+  /// (Codebook::Column: bit e is the subject's access under entry e) — the
+  /// one per-subject access table every secure scan checks against. Served
+  /// from the epoch-stamped column cache when the caller's epoch is
+  /// current, computed from the pinned codebook otherwise. Returns a copy:
+  /// commits extend cached columns in place, so a reference could not
+  /// outlive the cache lock. InvalidArgument for an unknown subject.
+  Result<BitVector> SubjectColumn(SubjectId subject);
 
   /// Partitions `subjects` into visibility equivalence classes (equal
   /// codebook columns — see GroupSubjectsByColumn), serving columns from an
@@ -391,8 +384,8 @@ class SecureStore {
   std::vector<SubjectClass> GroupSubjects(
       const std::vector<SubjectId>& subjects);
 
-  /// Drops the cached hidden intervals, compiled views, and codebook
-  /// columns. Benchmarks and tests use this to measure cold recomputation.
+  /// Drops the cached hidden intervals and codebook columns. Benchmarks and
+  /// tests use this to measure cold recomputation.
   void DropVisibilityCaches();
 
   /// Rebuilds the logical DolLabeling from the physical pages (for tests
@@ -418,13 +411,13 @@ class SecureStore {
  private:
   /// How a committed update affects the epoch-stamped visibility caches.
   enum class CacheEffect {
-    /// Pages and/or codebook entries changed; patch views and columns from
-    /// the delta, drop hidden intervals.
+    /// Pages and/or codebook entries changed; extend cached columns by the
+    /// appended entries, drop hidden intervals.
     kPatch,
-    /// A subject column was appended; existing subjects' views, columns,
-    /// and hidden intervals all stay valid — restamp only.
+    /// A subject column was appended; existing subjects' columns and
+    /// hidden intervals all stay valid — restamp only.
     kSubjectAdded,
-    /// Codes or subjects renumbered; everything recompiles lazily.
+    /// Codes or subjects renumbered; everything recomputes lazily.
     kDropAll,
   };
 
@@ -446,14 +439,10 @@ class SecureStore {
   Status CommitStaged(uint32_t wal_type, const std::string& payload,
                       CacheEffect effect, CommitEvent event);
 
-  /// Cache maintenance at commit; caller holds snapshot_mu_. `pages` is the
-  /// just-committed page directory (passed in rather than re-read so a pin
-  /// held by the calling thread cannot alias an older snapshot);
+  /// Cache maintenance at commit; caller holds snapshot_mu_.
   /// `old_codebook_size` is the entry count before the update (cached
   /// columns are extended from there — ACL updates only append entries).
-  void MaintainCaches(CacheEffect effect, const NokStore::UpdateDelta& delta,
-                      const std::vector<NokStore::PageInfo>& pages,
-                      const std::shared_ptr<const Codebook>& codebook,
+  void MaintainCaches(CacheEffect effect, const Codebook& codebook,
                       EpochManager::Epoch new_epoch, size_t old_codebook_size);
 
   // Update bodies running under update_mu_ (shared by the public mutators
@@ -482,6 +471,18 @@ class SecureStore {
   Status PersistLocked();
 
   Status VacuumLocked(const VacuumOptions& options, VacuumStats* stats);
+
+  /// `subject`'s entry in the column cache, computed and inserted on a
+  /// miss; nullptr (and no entry) for an unknown subject. Caller holds
+  /// column_cache_mu_ and has matched the cache's epoch stamp to its own.
+  const BitVector* CachedColumnLocked(const Codebook& cb, SubjectId subject);
+
+  /// Header-only page verdict for `subject` under the calling thread's
+  /// snapshot.
+  PageVerdict Verdict(size_t page_ordinal, SubjectId subject) const {
+    const NokStore::PageInfo& info = nok_->page_infos()[page_ordinal];
+    return ClassifyPage(info, codebook().Accessible(info.first_code, subject));
+  }
 
   /// Computes hidden intervals without consulting the cache, counting the
   /// sweep's work into `stats` when non-null.
@@ -517,18 +518,14 @@ class SecureStore {
   std::atomic<uint64_t> applied_lsn_{0};
 
   // Epoch-stamped visibility caches. Each cache's stamp names the epoch its
-  // entries were computed (or patched) for; a lookup only hits when the
-  // caller's epoch equals the stamp, so a view compiled for one epoch is
-  // never served at another. Lock order: hidden before view before column
-  // (MaintainCaches and the hidden-miss path, which compiles a view while
-  // holding the hidden mutex).
+  // entries were computed (or extended) for; a lookup only hits when the
+  // caller's epoch equals the stamp, so a column computed for one epoch is
+  // never served at another. Lock order: hidden before column
+  // (MaintainCaches and the hidden-miss path, which reads the subject's
+  // column while holding the hidden mutex).
   std::mutex hidden_cache_mu_;
   EpochManager::Epoch hidden_cache_epoch_ = 1;
   std::unordered_map<SubjectId, std::vector<NodeInterval>> hidden_cache_;
-  std::mutex view_cache_mu_;
-  EpochManager::Epoch view_cache_epoch_ = 1;
-  std::unordered_map<SubjectId, std::shared_ptr<const SubjectView>>
-      view_cache_;
   std::mutex column_cache_mu_;
   EpochManager::Epoch column_cache_epoch_ = 1;
   std::unordered_map<SubjectId, BitVector> column_cache_;
@@ -537,8 +534,6 @@ class SecureStore {
     std::atomic<uint64_t> updates_applied{0};
     std::atomic<uint64_t> updates_replayed{0};
     std::atomic<uint64_t> epochs_advanced{0};
-    std::atomic<uint64_t> views_patched{0};
-    std::atomic<uint64_t> views_dropped{0};
     std::atomic<uint64_t> columns_patched{0};
     std::atomic<uint64_t> checkpoints{0};
   };

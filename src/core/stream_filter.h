@@ -31,14 +31,10 @@ class SecureStreamFilter final : public XmlContentHandler {
   /// `labeling` must cover at least as many nodes as the stream contains
   /// and outlive the filter. Output is appended to `*out`. Per-node checks
   /// run through the exec layer's LabelStreamCursor (a monotone
-  /// transition-list cursor plus the subject-compiled byte table);
-  /// `use_view` = false falls back to per-node codebook probes, with
-  /// byte-identical output.
+  /// transition-list cursor plus the subject's codebook column).
   SecureStreamFilter(const DolLabeling* labeling, SubjectId subject,
-                     std::string* out, bool use_view = true)
-      : labeling_(labeling),
-        out_(out),
-        cursor_(labeling, subject, use_view) {}
+                     std::string* out)
+      : labeling_(labeling), out_(out), cursor_(labeling, subject) {}
 
   Status StartElement(std::string_view name) override;
   Status Characters(std::string_view text) override;

@@ -21,8 +21,8 @@ struct ExecStats {
   uint64_t nodes_scanned = 0;
   /// ACCESS checks actually performed (a DOL code decoded and probed).
   uint64_t codes_checked = 0;
-  /// ACCESS checks elided outright because the page is check-free in the
-  /// subject-compiled view (record fetched, code never decoded).
+  /// Always 0: every secure cursor decodes and checks each scanned record's
+  /// code. Kept so existing stat readers keep building.
   uint64_t checks_elided = 0;
   /// Distinct page loads avoided via wholly-dead page verdicts (the
   /// Section 3.3 page skip). Matches IoStats::pages_skipped accounting.

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/bitvector.h"
 #include "core/dol_labeling.h"
 #include "exec/exec_stats.h"
 
@@ -15,10 +16,9 @@ namespace secxml {
 ///
 /// The cursor keeps the current run's code by advancing a monotone cursor
 /// over the labeling's transition list — O(1) amortized per node versus the
-/// O(log T) binary search of DolLabeling::CodeAt — and, like SubjectView,
-/// compiles the codebook into a per-subject byte table at construction so
-/// the inner ACCESS check is one indexed load (`use_view`; off falls back to
-/// the codebook bit probe, with identical results).
+/// O(log T) binary search of DolLabeling::CodeAt — and, like SecureCursor,
+/// checks access against the subject's codebook column (Codebook::Column,
+/// taken at construction), so the inner ACCESS check is one bit test.
 ///
 /// Nodes passed to Accessible must be non-decreasing; skipping ahead (e.g.
 /// past a suppressed subtree whose nodes the caller never checks) is fine.
@@ -30,21 +30,11 @@ class LabelStreamCursor {
 
   /// `labeling` must outlive the cursor and satisfy DolLabeling's
   /// invariants (first transition at node 0).
-  LabelStreamCursor(const DolLabeling* labeling, SubjectId subject,
-                    bool use_view = true)
-      : labeling_(labeling), subject_(subject) {
-    if (use_view) {
-      const Codebook& cb = labeling_->codebook();
-      code_accessible_.resize(cb.size());
-      for (size_t c = 0; c < cb.size(); ++c) {
-        code_accessible_[c] =
-            cb.Accessible(static_cast<AccessCodeId>(c), subject) ? 1 : 0;
-      }
-    }
-  }
+  LabelStreamCursor(const DolLabeling* labeling, SubjectId subject)
+      : labeling_(labeling), column_(labeling->codebook().Column(subject)) {}
 
   /// Accessibility of `node` for the subject. One amortized transition-list
-  /// advance plus one byte load (or codebook probe without the view).
+  /// advance plus one bit test (an out-of-range code denies).
   bool Accessible(NodeId node) {
     const std::vector<DolEntry>& ts = labeling_->transitions();
     while (next_transition_ < ts.size() &&
@@ -54,18 +44,16 @@ class LabelStreamCursor {
     }
     ++stats_.nodes_scanned;
     ++stats_.codes_checked;
-    return code_accessible_.empty()
-               ? labeling_->codebook().Accessible(code_, subject_)
-               : code_accessible_[code_] != 0;
+    return code_ < column_.size() && column_.GetUnchecked(code_);
   }
 
   const ExecStats& stats() const { return stats_; }
 
  private:
   const DolLabeling* labeling_ = nullptr;
-  SubjectId subject_ = 0;
-  /// Per-subject compiled code->accessible byte table (empty = view off).
-  std::vector<uint8_t> code_accessible_;
+  /// The subject's codebook column (fails closed: an unknown subject's
+  /// column denies every code).
+  BitVector column_;
   /// Monotone cursor over the transition list; `code_` is the code in
   /// effect for the last node consumed.
   size_t next_transition_ = 0;

@@ -48,7 +48,7 @@ Status MultiSubjectCursor::Attach() {
   // Per-page batch verdicts from the in-memory directory alone: a clear
   // change bit means every slot carries first_code, so the page is dead for
   // exactly the classes that cannot access first_code — the same
-  // classification SubjectView::ClassifyPage applies per subject.
+  // classification ClassifyPage applies per subject.
   const std::vector<NokStore::PageInfo>& pages = store_->nok()->page_infos();
   page_dead_.assign(pages.size(), ClassMask());
   const ClassMask full = FullMask();

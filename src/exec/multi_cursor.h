@@ -32,8 +32,8 @@ namespace secxml {
 ///     (entries x classes) would dwarf the scan itself on wide batches;
 ///   - page dead mask: for every page, the word of classes for which the
 ///     in-memory header proves the page wholly inaccessible — exactly
-///     SubjectView::ClassifyPage per class, so the batch page skip agrees
-///     with the per-subject one by construction.
+///     ClassifyPage (nok/nok_store.h) per class, so the batch page skip
+///     agrees with the per-subject one by construction.
 ///
 /// The scan carries a live mask of classes still interested in the current
 /// fragment; a page is skipped (never loaded) when its dead mask covers the
@@ -64,9 +64,10 @@ class MultiSubjectCursor {
                      const std::vector<SubjectId>& class_reps,
                      const Options& options);
 
-  /// Compiles the code and page mask tables from the current codebook and
-  /// page directory. Call once per evaluation (the tables are a snapshot;
-  /// updates must not run concurrently, same as every query path).
+  /// Compiles the code and page mask tables from the calling thread's
+  /// snapshot of the codebook and page directory. Call once per evaluation,
+  /// under the evaluation's SnapshotPin: updates may commit concurrently,
+  /// and the pin keeps the tables consistent with the pages the scan reads.
   Status Attach();
 
   /// Begins a fragment-scoped scan: resets the distinct-page dedup map so
@@ -89,7 +90,7 @@ class MultiSubjectCursor {
   }
 
   /// Mask of classes for which the page at `ordinal` is provably wholly
-  /// inaccessible (per-class SubjectView::ClassifyPage == kDead).
+  /// inaccessible (per-class ClassifyPage == kDead).
   ClassMask PageDeadMask(size_t ordinal) const {
     return ordinal < page_dead_.size() ? page_dead_[ordinal] : FullMask();
   }

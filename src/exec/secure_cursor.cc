@@ -22,11 +22,9 @@ Status CheckNodeInPage(const NokStore::PageInfo& info, NodeId n) {
 }  // namespace
 
 Status SecureCursor::Attach() {
-  view_holder_.reset();
-  view_ = nullptr;
-  if (options_.secure && options_.use_view) {
-    SECXML_ASSIGN_OR_RETURN(view_holder_, store_->View(options_.subject));
-    view_ = view_holder_.get();
+  column_ = BitVector();
+  if (options_.secure) {
+    SECXML_ASSIGN_OR_RETURN(column_, store_->SubjectColumn(options_.subject));
   }
   return Status::OK();
 }
@@ -69,13 +67,6 @@ Result<NokRecord> SecureCursor::FetchChecked(size_t ordinal, NodeId u,
   uint32_t slot = u - info.first_node;
   NokRecord rec = handle.page().ReadAt<NokRecord>(RecordOffset(slot));
   ++stats_.nodes_scanned;
-  if (view_ != nullptr && view_->PageCheckFree(ordinal)) {
-    // Every node of this page is accessible to the subject: the record
-    // fetch stands, the code is never decoded.
-    ++stats_.checks_elided;
-    *accessible = true;
-    return rec;
-  }
   // The code lives in u's own page (Section 3.3), so resolving it costs no
   // additional I/O: same pin, a transition walk at worst.
   uint32_t code = info.first_code;
@@ -131,28 +122,12 @@ Result<NodeId> SecureCursor::NextSiblingSkippingDead(NodeId u, uint16_t depth,
   NokStore* nok = store_->nok();
   size_t ordinal = nok->PageOrdinalOf(u) + 1;
   while (ordinal < nok->num_pages()) {
-    if (view_ != nullptr) {
-      // The skip index jumps the whole run of wholly-dead pages in O(1)
-      // instead of probing each header in turn. Pages of the run before
-      // `limit` are ones we avoided loading; count each (at most once per
-      // scan, same as the probing path).
-      size_t next = view_->NextLivePage(ordinal);
-      for (; ordinal < next; ++ordinal) {
-        if (nok->page_infos()[ordinal].first_node >= limit) {
-          return kInvalidNode;
-        }
-        CountSkippedPage(ordinal);
-      }
-      if (ordinal >= nok->num_pages()) return kInvalidNode;
-    }
     const NokStore::PageInfo& info = nok->page_infos()[ordinal];
     if (info.first_node >= limit) return kInvalidNode;
     if (PageWhollyDead(ordinal)) {
       // Everything in this page is inaccessible: any sibling inside it
       // would be pruned anyway, and the records we would need are exactly
-      // the ones the paper's header check lets us avoid reading. (Reached
-      // only without a view; the skip index already stepped past dead
-      // pages above.)
+      // the ones the paper's header check lets us avoid reading.
       CountSkippedPage(ordinal);
       ++ordinal;
       continue;
@@ -188,8 +163,8 @@ Result<bool> SecureCursor::ChildWalk::Next(NodeId* u, NokRecord* rec,
   NokStore* nok = c_->store_->nok();
   while (next_ != kInvalidNode) {
     NodeId n = next_;
-    // ε-NoK: consult the page verdict (compiled or from the in-memory
-    // header) before touching n's page.
+    // ε-NoK: consult the page verdict (from the in-memory header) before
+    // touching n's page.
     if (opts.secure && opts.page_skip) {
       if (n < page_begin_ || n >= page_end_) {
         page_ordinal_ = nok->PageOrdinalOf(n);

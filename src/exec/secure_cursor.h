@@ -2,13 +2,12 @@
 #define SECXML_EXEC_SECURE_CURSOR_H_
 
 #include <functional>
-#include <memory>
 #include <vector>
 
+#include "common/bitvector.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "core/secure_store.h"
-#include "core/subject_view.h"
 #include "exec/exec_stats.h"
 #include "nok/nok_format.h"
 #include "nok/nok_store.h"
@@ -22,12 +21,11 @@ namespace secxml {
 ///     → DOL code decode (from the record's own page — never a second fetch,
 ///       which is the paper's zero-extra-I/O property, kept honest by the
 ///       `access_only_fetches` counter staying 0)
-///     → ACCESS check (one byte load through the subject-compiled view, or
-///       the codebook bit probe when the view is off)
-///     → check-free fast path (pages the view proves wholly accessible skip
-///       the decode and the check entirely)
-///     → dead-page skip (wholly-inaccessible pages are never loaded; runs of
-///       them are jumped through the view's next_live_page index)
+///     → ACCESS check (one bit test against the subject's codebook column,
+///       snapshotted at Attach)
+///     → dead-page skip (pages whose in-memory header proves them wholly
+///       inaccessible — ClassifyPage on the column bit of first_code — are
+///       never loaded)
 ///     → readahead hints (sequential sweeps stream upcoming pages through
 ///       the store's background prefetcher; see PageSweep).
 ///
@@ -37,12 +35,11 @@ namespace secxml {
 ///  - tag-index-driven: FetchCandidate screens tag-posting candidates
 ///    against page verdicts before fetching;
 ///  - page-scoped: PageSweep + PageCodeWalker iterate whole pages for the
-///    sequential consumers (hidden-interval sweep, view compilation,
-///    codebook compaction).
+///    sequential consumers (hidden-interval sweep, codebook compaction).
 ///
 /// Every consumer of secure record access — the NoK matcher, the structural
-/// join's input scans, the visibility sweep, view compilation, the stream
-/// filter (via LabelStreamCursor) — goes through this layer; direct
+/// join's input scans, the visibility sweep, the stream filter (via
+/// LabelStreamCursor) — goes through this layer; direct
 /// NokStore/Codebook probing outside it is linted away
 /// (scripts/check_no_direct_fetch.sh).
 ///
@@ -58,18 +55,16 @@ class SecureCursor {
     SubjectId subject = 0;
     /// Consult page verdicts to skip wholly-inaccessible pages (Sec. 3.3).
     bool page_skip = true;
-    /// Run checks through the subject-compiled SubjectView; off falls back
-    /// to codebook probes and header recomputation. Identical results.
-    bool use_view = true;
   };
 
   SecureCursor(SecureStore* store, const Options& options)
       : store_(store), options_(options) {}
 
-  /// Acquires the compiled view snapshot for this evaluation (secure +
-  /// use_view only; cached per subject in the store). Call once per query;
-  /// the held shared_ptr keeps the snapshot consistent even if an update
-  /// invalidates the store's cache mid-evaluation.
+  /// Snapshots the subject's codebook column for this evaluation (secure
+  /// mode only; served from the store's epoch-stamped column cache). Call
+  /// before scanning under the query's SnapshotPin; the cursor's own copy
+  /// keeps later commits, which extend the cache in place, out of the scan.
+  /// InvalidArgument for an unknown subject.
   Status Attach();
 
   /// Begins a fragment-scoped scan: resets the distinct-page dedup map so
@@ -79,9 +74,8 @@ class SecureCursor {
   // --- Node-at-a-time access -------------------------------------------
 
   /// Secure fetch of node `u` on the page at `ordinal`: record and access
-  /// verdict from one page pin. On a check-free page the code is never
-  /// decoded (checks_elided); otherwise the code is resolved from the same
-  /// page and probed (codes_checked).
+  /// verdict from one page pin. The code is resolved from the same page and
+  /// probed (codes_checked).
   Result<NokRecord> FetchChecked(size_t ordinal, NodeId u, bool* accessible);
 
   /// Non-secure record fetch (plain NoK scan).
@@ -94,26 +88,23 @@ class SecureCursor {
   Result<bool> FetchCandidate(NodeId cand, NokRecord* rec, bool* accessible);
 
   /// Next sibling of `u` at `depth` within the parent extent `limit`,
-  /// loading no wholly-dead page (runs of dead pages are jumped through the
-  /// view's skip index in O(1)).
+  /// loading no wholly-dead page.
   Result<NodeId> NextSiblingSkippingDead(NodeId u, uint16_t depth,
                                          NodeId limit);
 
-  /// The inner ACCESS check: one byte load through the compiled view when
-  /// attached, else the codebook bit probe.
+  /// The inner ACCESS check: one bit test against the attached column.
+  /// Fails closed: an out-of-range code (corrupt page bytes) denies, like
+  /// Codebook::Accessible.
   bool CodeAccessible(uint32_t code) const {
-    return view_ != nullptr
-               ? view_->CodeAccessible(code)
-               : store_->codebook().Accessible(code, options_.subject);
+    return code < column_.size() && column_.GetUnchecked(code);
   }
 
-  /// Page-skip verdict: precompiled when the view is attached, else derived
-  /// from the in-memory header and codebook (one shared classification —
-  /// SubjectView::ClassifyPage — so the two paths cannot drift).
+  /// Page-skip verdict from the in-memory header (ClassifyPage on the
+  /// column bit of the page's first code).
   bool PageWhollyDead(size_t ordinal) const {
-    return view_ != nullptr ? view_->PageWhollyDead(ordinal)
-                            : store_->PageWhollyInaccessible(ordinal,
-                                                             options_.subject);
+    const NokStore::PageInfo& info = store_->nok()->page_infos()[ordinal];
+    return ClassifyPage(info, CodeAccessible(info.first_code)) ==
+           PageVerdict::kDead;
   }
 
   /// Counts `ordinal` toward pages_skipped (ExecStats and the store's
@@ -150,7 +141,6 @@ class SecureCursor {
 
   const Options& options() const { return options_; }
   SecureStore* store() { return store_; }
-  const SubjectView* view() const { return view_; }
   ExecStats& stats() { return stats_; }
   const ExecStats& stats() const { return stats_; }
 
@@ -161,17 +151,16 @@ class SecureCursor {
 
   SecureStore* store_;
   Options options_;
-  /// Compiled view snapshot (null when secure checks run codebook-direct).
-  std::shared_ptr<const SubjectView> view_holder_;
-  const SubjectView* view_ = nullptr;
+  /// The subject's codebook column at Attach (empty when not secure).
+  BitVector column_;
   /// Per-scan bitmap of pages already counted as skipped.
   std::vector<char> skip_counted_;
   ExecStats stats_;
 };
 
 /// Sequential document-order page sweep with background readahead: the
-/// page-scoped iteration mode shared by the hidden-interval sweep, subject
-/// view compilation, and codebook compaction. Prefetch requests stream
+/// page-scoped iteration mode shared by the hidden-interval sweep and
+/// codebook compaction. Prefetch requests stream
 /// through the store's Readahead (when configured) so device latency
 /// overlaps the per-page computation; the destructor drains every in-flight
 /// fetch, preserving the no-overlap-with-exclusive-updates contract.

@@ -191,38 +191,14 @@ Status NokStore::BeginUpdate() {
     std::lock_guard<std::mutex> lock(state_mu_);
     work_ = std::make_unique<State>(*state_);
   }
-  fresh_codes_.clear();
+  fresh_pages_.clear();
   writer_tid_.store(std::this_thread::get_id(), std::memory_order_relaxed);
   return Status::OK();
 }
 
-Status NokStore::CommitUpdate(UpdateDelta* delta) {
+Status NokStore::CommitUpdate() {
   if (work_ == nullptr) {
     return Status::InvalidArgument("no open update transaction");
-  }
-  if (delta != nullptr) {
-    delta->fresh.clear();
-    delta->old_ordinal_of.assign(work_->pages.size(), -1);
-    std::unordered_map<PageId, size_t> old_ordinals;
-    old_ordinals.reserve(state_->pages.size());
-    for (size_t i = 0; i < state_->pages.size(); ++i) {
-      old_ordinals.emplace(state_->pages[i].page_id, i);
-    }
-    for (size_t i = 0; i < work_->pages.size(); ++i) {
-      PageId id = work_->pages[i].page_id;
-      auto fresh = fresh_codes_.find(id);
-      if (fresh != fresh_codes_.end()) {
-        delta->fresh.push_back(UpdateDelta::PageCodePatch{i, fresh->second});
-        continue;
-      }
-      auto old = old_ordinals.find(id);
-      if (old != old_ordinals.end()) {
-        delta->old_ordinal_of[i] = static_cast<int64_t>(old->second);
-      }
-    }
-    delta->pages_changed = !delta->fresh.empty() ||
-                           work_->pages.size() != state_->pages.size() ||
-                           work_->num_nodes != state_->num_nodes;
   }
   auto next = std::make_shared<const State>(std::move(*work_));
   {
@@ -234,7 +210,7 @@ Status NokStore::CommitUpdate(UpdateDelta* delta) {
   wtags_.reset();
   wvalues_.reset();
   wpostings_.reset();
-  fresh_codes_.clear();
+  fresh_pages_.clear();
   writer_tid_.store(std::thread::id(), std::memory_order_relaxed);
   return Status::OK();
 }
@@ -244,7 +220,7 @@ void NokStore::AbortUpdate() {
   wtags_.reset();
   wvalues_.reset();
   wpostings_.reset();
-  fresh_codes_.clear();
+  fresh_pages_.clear();
   writer_tid_.store(std::thread::id(), std::memory_order_relaxed);
 }
 
@@ -273,18 +249,9 @@ std::vector<std::vector<NodeId>>& NokStore::wip_postings() {
   return *wpostings_;
 }
 
-void NokStore::NoteFreshPage(PageId id, uint32_t first_code,
-                             const std::vector<DolTransition>& transitions) {
-  std::vector<uint32_t> runs;
-  runs.reserve(transitions.size() + 1);
-  runs.push_back(first_code);
-  for (const DolTransition& t : transitions) runs.push_back(t.code);
-  fresh_codes_[id] = std::move(runs);
-}
-
 Result<PageHandle> NokStore::CowFetch(size_t ordinal) {
   PageInfo& info = wip().pages[ordinal];
-  if (fresh_codes_.count(info.page_id) != 0) {
+  if (fresh_pages_.count(info.page_id) != 0) {
     // Already shadow-copied (or composed) by this transaction.
     return pool_.Fetch(info.page_id);
   }
@@ -292,16 +259,9 @@ Result<PageHandle> NokStore::CowFetch(size_t ordinal) {
   SECXML_ASSIGN_OR_RETURN(PageHandle fresh, pool_.Allocate());
   fresh.mutable_page()->data = old.page().data;
   fresh.MarkDirty();
-  NokPageHeader header = fresh.page().ReadAt<NokPageHeader>(0);
-  SECXML_RETURN_NOT_OK(CheckOnDiskHeader(header, info.page_id));
-  std::vector<uint32_t> runs;
-  runs.reserve(header.num_transitions + 1u);
-  runs.push_back(header.first_code);
-  for (uint32_t i = 0; i < header.num_transitions; ++i) {
-    runs.push_back(
-        fresh.page().ReadAt<DolTransition>(TransitionOffset(i)).code);
-  }
-  fresh_codes_.emplace(fresh.page_id(), std::move(runs));
+  SECXML_RETURN_NOT_OK(CheckOnDiskHeader(
+      fresh.page().ReadAt<NokPageHeader>(0), info.page_id));
+  fresh_pages_.insert(fresh.page_id());
   info.page_id = fresh.page_id();
   return fresh;
 }
@@ -768,7 +728,7 @@ Status NokStore::SetPageAclStaged(size_t ordinal, uint32_t first_code,
   PageInfo& fresh_info = wip().pages[ordinal];
   fresh_info.first_code = first_code;
   fresh_info.change_bit = header.change_bit();
-  NoteFreshPage(fresh_info.page_id, first_code, transitions);
+  fresh_pages_.insert(fresh_info.page_id);
   return Status::OK();
 }
 
@@ -817,12 +777,12 @@ Status NokStore::SplitAndSet(size_t ordinal, uint32_t first_code,
   ComposePage(right_header, records.data() + split, right_ts,
               right.mutable_page());
   right.MarkDirty();
-  NoteFreshPage(right.page_id(), right_first_code, right_ts);
+  fresh_pages_.insert(right.page_id());
 
   {
     PageInfo& left_info = wip().pages[ordinal];
     PageHandle left;
-    if (fresh_codes_.count(left_info.page_id) != 0) {
+    if (fresh_pages_.count(left_info.page_id) != 0) {
       SECXML_ASSIGN_OR_RETURN(left, pool_.Fetch(left_info.page_id));
     } else {
       SECXML_ASSIGN_OR_RETURN(left, pool_.Allocate());
@@ -836,7 +796,7 @@ Status NokStore::SplitAndSet(size_t ordinal, uint32_t first_code,
     left_header.set_change_bit(!left_ts.empty());
     ComposePage(left_header, records.data(), left_ts, left.mutable_page());
     left.MarkDirty();
-    NoteFreshPage(left_info.page_id, first_code, left_ts);
+    fresh_pages_.insert(left_info.page_id);
   }
 
   PageInfo& left_info = wip().pages[ordinal];
@@ -937,7 +897,7 @@ Status NokStore::ReplacePageRange(size_t begin_ord, size_t end_ord,
     header.set_change_bit(!ts.empty());
     ComposePage(header, records.data() + i, ts, handle.mutable_page());
     handle.MarkDirty();
-    NoteFreshPage(handle.page_id(), header.first_code, ts);
+    fresh_pages_.insert(handle.page_id());
     PageInfo info;
     info.page_id = handle.page_id();
     info.num_records = header.num_records;
@@ -1035,7 +995,7 @@ Status NokStore::RepackStaged(size_t min_run_records, VacuumPlan* plan_out) {
     header.set_change_bit(!ts.empty());
     ComposePage(header, records.data() + begin, ts, handle.mutable_page());
     handle.MarkDirty();
-    NoteFreshPage(handle.page_id(), header.first_code, ts);
+    fresh_pages_.insert(handle.page_id());
     PageInfo info;
     info.page_id = handle.page_id();
     info.num_records = header.num_records;

@@ -9,7 +9,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/result.h"
@@ -110,28 +110,6 @@ class NokStore {
     bool change_bit = false;
   };
 
-  /// What one committed update transaction changed, in terms a visibility
-  /// cache can patch incrementally (SubjectView::Patched): for every page
-  /// ordinal of the *new* directory, either the old ordinal it came from
-  /// unchanged, or its fresh access-code runs.
-  struct UpdateDelta {
-    struct PageCodePatch {
-      size_t ordinal = 0;  ///< ordinal in the new directory
-      /// The page's code runs in slot order: first_code followed by each
-      /// embedded transition's code — exactly what SubjectView::Compile
-      /// would read off the page.
-      std::vector<uint32_t> run_codes;
-    };
-    /// Pages rewritten (shadow-copied) by this transaction, ordinal-ascending.
-    std::vector<PageCodePatch> fresh;
-    /// old_ordinal_of[i] = ordinal the new directory's page i had in the old
-    /// directory, or -1 if the page is fresh. Untouched pages keep their
-    /// bytes, so per-page verdict/check-free bits carry over verbatim.
-    std::vector<int64_t> old_ordinal_of;
-    /// True when the directory or any page changed at all.
-    bool pages_changed = false;
-  };
-
   /// Builds a store from `doc`, embedding access codes supplied by `code_of`
   /// in the same single document-order pass that lays out the structure.
   /// `code_of` may be null, in which case every node gets code 0.
@@ -200,10 +178,8 @@ class NokStore {
   /// outside a transaction wrap themselves in one automatically.
   Status BeginUpdate();
 
-  /// Atomically publishes the staged state to readers. When `delta` is
-  /// non-null it receives the page-level difference for incremental
-  /// visibility-cache maintenance.
-  Status CommitUpdate(UpdateDelta* delta = nullptr);
+  /// Atomically publishes the staged state to readers.
+  Status CommitUpdate();
 
   /// Discards the staged state; readers never saw any of it. Shadow page
   /// copies leak in the file until CompactTo, like replaced pages do.
@@ -389,13 +365,8 @@ class NokStore {
   /// Fetches the staged page at `ordinal` for modification, shadow-copying
   /// it to a fresh page id the first time a transaction touches it (so the
   /// committed image survives for pinned readers and crash recovery) and
-  /// recording its code runs in fresh_codes_.
+  /// recording it in fresh_pages_.
   Result<PageHandle> CowFetch(size_t ordinal);
-
-  /// Registers a page freshly composed by this transaction (split targets,
-  /// repacked pages) with its code runs.
-  void NoteFreshPage(PageId id, uint32_t first_code,
-                     const std::vector<DolTransition>& transitions);
 
   // Transaction-internal bodies of the public mutators (the public entry
   // points add the auto-wrapping transaction).
@@ -450,18 +421,41 @@ class NokStore {
   std::atomic<const State*> state_raw_{nullptr};
 
   /// Open transaction (writer thread only), plus its clone-on-touch shared
-  /// tables and the code runs of every page it shadow-copied or composed.
+  /// tables and the ids of every page it shadow-copied or composed (those
+  /// are already private to the transaction and are modified in place).
   std::unique_ptr<State> work_;
   std::shared_ptr<TagDictionary> wtags_;
   std::shared_ptr<std::vector<std::string>> wvalues_;
   std::shared_ptr<std::vector<std::vector<NodeId>>> wpostings_;
-  std::unordered_map<PageId, std::vector<uint32_t>> fresh_codes_;
+  std::unordered_set<PageId> fresh_pages_;
   std::atomic<std::thread::id> writer_tid_{};
 
   static const std::vector<NodeId> empty_postings_;
   // Declared last: destroyed (joined and drained) before the pool it reads.
   std::unique_ptr<Readahead> readahead_;
 };
+
+/// What a page's in-memory header proves about one subject's access to it.
+enum class PageVerdict : uint8_t {
+  /// Every node in the page is inaccessible.
+  kDead = 0,
+  /// Every node in the page is accessible.
+  kLive = 1,
+  /// The change bit is set (embedded transitions): must look inside.
+  kMixed = 2,
+};
+
+/// The one place a page header is classified for a subject (Section 3.3):
+/// with the change bit clear every slot carries `info.first_code`, so the
+/// subject's access to that code (`first_code_accessible`) decides the
+/// whole page. SecureStore's PageWholly* tests, the secure cursor's page
+/// skip, and the batch cursor's per-class dead masks all classify through
+/// here, so no two page-skip paths can drift.
+inline PageVerdict ClassifyPage(const NokStore::PageInfo& info,
+                                bool first_code_accessible) {
+  if (info.change_bit) return PageVerdict::kMixed;
+  return first_code_accessible ? PageVerdict::kLive : PageVerdict::kDead;
+}
 
 }  // namespace secxml
 

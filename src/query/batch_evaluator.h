@@ -53,7 +53,8 @@ Status FinalizeClassEval(SecureStore* store, const PreparedQuery& pq,
                          EvalResult* r);
 
 /// Multi-subject batch evaluator: answers one twig query for a whole batch
-/// of subjects with one structural scan per ≤64-class chunk.
+/// of subjects with one structural scan per chunk of at most
+/// kMaxBatchClasses (512) classes.
 ///
 ///  1. Subjects are grouped into visibility equivalence classes by codebook
 ///     column (GroupSubjectsByColumn). Identical columns imply identical
@@ -72,9 +73,7 @@ Status FinalizeClassEval(SecureStore* store, const PreparedQuery& pq,
 /// Under AccessSemantics::kNone answers are subject-independent: the whole
 /// batch is one class evaluated by the per-subject path.
 ///
-/// EvalOptions::subject is ignored (the span governs) and
-/// EvalOptions::use_view does not apply: the batch cursor's compiled mask
-/// tables are the batch analogue of the subject-compiled access view.
+/// EvalOptions::subject is ignored (the span governs).
 /// With caches attached (DESIGN.md §14), each class probes the ResultCache
 /// by its column fingerprint before evaluation (non-blocking — a class in
 /// flight elsewhere is simply evaluated live) and publishes after; only the

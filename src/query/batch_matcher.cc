@@ -256,7 +256,8 @@ Status MultiSubjectMatcher::MatchFragment(const QueryFragment& fragment,
   NokStore* nok = store_->nok();
 
   // The mask tables are a per-evaluation snapshot, shared by every fragment
-  // of the query (updates never run concurrently with evaluation).
+  // of the query: the evaluation's SnapshotPin holds one epoch throughout,
+  // so concurrent commits cannot change what the tables describe.
   if (!attached_) {
     SECXML_RETURN_NOT_OK(cursor_.Attach());
     attached_ = true;

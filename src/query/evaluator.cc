@@ -175,7 +175,7 @@ Result<EvalResult> QueryEvaluator::Evaluate(const PatternTree& pattern,
 Result<EvalResult> QueryEvaluator::EvaluatePrepared(
     const PreparedQuery& pq, const EvalOptions& options) {
   // Pin one epoch for the whole evaluation: every snapshot-dependent read
-  // below (codebook probes, page directory, cached views, hidden intervals)
+  // below (codebook column, page directory, hidden intervals)
   // resolves against this snapshot even if updates commit concurrently.
   SecureStore::SnapshotPin pin(store_);
 
@@ -186,7 +186,6 @@ Result<EvalResult> QueryEvaluator::EvaluatePrepared(
   mopts.secure = options.semantics != AccessSemantics::kNone;
   mopts.subject = options.subject;
   mopts.page_skip = options.page_skip;
-  mopts.use_view = options.use_view;
   mopts.ordered_siblings = options.ordered_siblings;
   NokMatcher matcher(store_, mopts);
   std::vector<std::vector<FragmentMatch>> matches(nf);

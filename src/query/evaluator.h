@@ -32,9 +32,6 @@ struct EvalOptions {
   SubjectId subject = 0;
   /// Use the in-memory DOL page headers to skip wholly inaccessible pages.
   bool page_skip = true;
-  /// Run secure checks through the subject-compiled access view (see
-  /// NokMatcher::Options::use_view). Identical answers either way.
-  bool use_view = true;
   /// Require sibling pattern nodes to bind in document order (NoK's ordered
   /// pattern trees; see NokMatcher::Options::ordered_siblings).
   bool ordered_siblings = false;

@@ -206,7 +206,7 @@ Status NokMatcher::MatchFragment(const QueryFragment& fragment,
   SECXML_RETURN_NOT_OK(fragment.tree.Validate());
   NokStore* nok = store_->nok();
 
-  // Acquire the compiled view snapshot for this evaluation and reset the
+  // Snapshot the subject's column for this evaluation and reset the
   // cursor's per-scan skipped-page dedup map; the rollback-marks stack may
   // hold stale frames after an aborted earlier call.
   SECXML_RETURN_NOT_OK(cursor_.Attach());

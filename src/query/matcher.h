@@ -41,13 +41,6 @@ class NokMatcher {
     bool secure = false;
     SubjectId subject = 0;
     bool page_skip = true;
-    /// Run the secure checks through the subject-compiled access view
-    /// (SubjectView): the inner ACCESS test becomes one byte load, page
-    /// verdicts come precompiled, and sibling skipping jumps whole dead-page
-    /// runs through the skip index. Results are identical to the direct
-    /// codebook/header path; only the lookup machinery changes. Ignored
-    /// unless `secure`.
-    bool use_view = true;
     /// Ordered pattern trees (the paper's footnote: "we use ordered pattern
     /// tree in real experiments"): sibling pattern nodes must bind to data
     /// children in strictly ascending document order. Matching remains
@@ -69,8 +62,7 @@ class NokMatcher {
       : store_(store),
         options_(options),
         cursor_(store, SecureCursor::Options{options.secure, options.subject,
-                                             options.page_skip,
-                                             options.use_view}) {}
+                                             options.page_skip}) {}
 
   /// Finds all matches of `fragment` in the document. `designated` lists
   /// fragment-local pattern node indices whose bindings must be recorded

@@ -48,7 +48,6 @@ BatchResult QueryDriver::Run(const std::vector<QueryJob>& jobs) {
     EvalOptions eopts;
     eopts.semantics = options_.semantics;
     eopts.page_skip = options_.page_skip;
-    eopts.use_view = options_.use_view;
     eopts.ordered_siblings = options_.ordered_siblings;
     for (;;) {
       size_t i = next.fetch_add(1, std::memory_order_relaxed);

@@ -32,10 +32,6 @@ struct QueryDriverOptions {
   size_t num_threads = 1;
   AccessSemantics semantics = AccessSemantics::kBinding;
   bool page_skip = true;
-  /// Per-worker evaluators run through subject-compiled access views (the
-  /// store caches one per subject, so a batch with many jobs per subject
-  /// compiles each view once). Identical answers either way.
-  bool use_view = true;
   bool ordered_siblings = false;
   /// Cross-request caches (DESIGN.md §14). Both default off (null): every
   /// existing call site keeps its exact pre-cache behavior. With a result
@@ -103,8 +99,10 @@ void AggregateBatchStats(BatchResult* batch);
 /// Jobs are handed out through an atomic cursor, so long and short queries
 /// balance across workers.
 ///
-/// The driver itself is stateless between Run() calls; do not run store
-/// updates (ACL or structural) concurrently with Run().
+/// The driver itself is stateless between Run() calls. Store updates (ACL
+/// or structural) may commit concurrently with Run(): every query pins one
+/// epoch snapshot for its whole evaluation, so each answer reflects exactly
+/// one committed state.
 class QueryDriver {
  public:
   QueryDriver(SecureStore* store, const QueryDriverOptions& options)
@@ -116,11 +114,10 @@ class QueryDriver {
 
   /// Evaluates one pattern for a whole batch of subjects with the
   /// word-parallel batch pipeline (BatchEvaluator): subjects collapse into
-  /// visibility equivalence classes, each ≤64-class chunk shares one
-  /// structural scan, and every subject's answer is byte-identical to a
-  /// per-subject Run() of the same query. Uses the driver's semantics,
-  /// page_skip, and ordered_siblings settings (use_view has no batch
-  /// analogue; the compiled mask tables play that role).
+  /// visibility equivalence classes, each chunk of at most kMaxBatchClasses
+  /// (512) classes shares one structural scan, and every subject's answer
+  /// is byte-identical to a per-subject Run() of the same query. Uses the
+  /// driver's semantics, page_skip, and ordered_siblings settings.
   Result<SubjectBatchResult> EvaluateForSubjects(
       const PatternTree& pattern, std::span<const SubjectId> subjects);
 

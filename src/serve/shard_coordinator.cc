@@ -32,7 +32,6 @@ EvalOptions ShardCoordinator::MakeEvalOptions(SubjectId subject) const {
   o.semantics = options_.semantics;
   o.subject = subject;
   o.page_skip = options_.page_skip;
-  o.use_view = options_.use_view;
   o.ordered_siblings = options_.ordered_siblings;
   o.batch_chunk_classes = options_.batch_chunk_classes;
   return o;
@@ -77,7 +76,6 @@ ShardCoordinator::ShardScan ShardCoordinator::ScanShard(
     mo.secure = options_.semantics != AccessSemantics::kNone;
     mo.subject = subject;
     mo.page_skip = options_.page_skip;
-    mo.use_view = options_.use_view;
     mo.ordered_siblings = options_.ordered_siblings;
     mo.candidate_begin = range.first_node;
     mo.candidate_end = range.end_node;

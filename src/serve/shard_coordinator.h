@@ -20,7 +20,6 @@ struct ShardCoordinatorOptions {
   size_t num_threads = 0;
   AccessSemantics semantics = AccessSemantics::kBinding;
   bool page_skip = true;
-  bool use_view = true;
   bool ordered_siblings = false;
   /// Batch evaluation: cap on visibility classes per structural scan
   /// (see EvalOptions::batch_chunk_classes).

@@ -182,6 +182,36 @@ Result<PageHandle> BufferPool::Fetch(PageId id, bool* was_miss) {
   return InstallLocked(&sh, idx, id);
 }
 
+Result<bool> BufferPool::Prefetch(PageId id) {
+  Shard& sh = shards_[ShardOf(id)];
+  std::lock_guard<std::mutex> lock(sh.mu);
+  auto it = sh.map.find(id);
+  if (it != sh.map.end()) {
+    // Resident: refresh its LRU position unless a holder has it pinned
+    // (a pinned frame is requeued at the MRU end on its last unpin anyway).
+    Frame& f = frames_[it->second];
+    if (f.in_lru) sh.lru.splice(sh.lru.end(), sh.lru, f.lru_pos);
+    return true;
+  }
+  if (sh.free_frames.empty() && sh.lru.empty()) return false;
+  SECXML_ASSIGN_OR_RETURN(size_t idx, GrabFrameLocked(&sh));
+  Frame& f = frames_[idx];
+  Status read = file_->ReadPage(id, &f.page);
+  if (!read.ok()) {
+    sh.free_frames.push_back(idx);
+    return read;
+  }
+  stats_.page_reads.fetch_add(1, std::memory_order_relaxed);
+  f.dirty.store(false, std::memory_order_relaxed);
+  f.id = id;
+  f.pins.store(0, std::memory_order_relaxed);
+  sh.map[id] = idx;
+  sh.lru.push_back(idx);
+  f.lru_pos = std::prev(sh.lru.end());
+  f.in_lru = true;
+  return true;
+}
+
 Result<PageHandle> BufferPool::Allocate() {
   SECXML_ASSIGN_OR_RETURN(PageId id, file_->AllocatePage());
   Shard& sh = shards_[ShardOf(id)];

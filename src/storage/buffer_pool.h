@@ -100,6 +100,15 @@ class BufferPool {
   /// IoStats counters cannot be attributed under concurrency).
   Result<PageHandle> Fetch(PageId id, bool* was_miss = nullptr);
 
+  /// Background prefetch: makes page `id` resident *without pinning it*,
+  /// installed (or refreshed) at the MRU end of its shard's LRU list, so a
+  /// foreground Fetch shortly after is a hit. Never takes a frame a
+  /// foreground fetch could need: when every frame of the shard is pinned
+  /// the request is dropped and false returned. True when the page is
+  /// resident afterwards. Counts a physical read but never a cache hit (a
+  /// prefetch is not an access).
+  Result<bool> Prefetch(PageId id);
+
   /// Allocates a fresh page in the file and pins it (zeroed, dirty).
   Result<PageHandle> Allocate();
 

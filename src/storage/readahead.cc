@@ -61,20 +61,18 @@ void Readahead::WorkerLoop() {
     queued_.erase(id);
     ++in_flight_;
     lock.unlock();
-    Status fetch_status;
-    {
-      // Fetch, then immediately drop the pin: the page stays resident at
-      // the MRU end of its shard's LRU list, so the sweep's synchronous
-      // Fetch shortly after is a hit.
-      Result<PageHandle> r = pool_->Fetch(id);
-      if (!r.ok()) fetch_status = r.status();
-    }
+    // Pin-free: the page lands at the MRU end of its shard's LRU list, so
+    // the sweep's synchronous Fetch shortly after is a hit, and no
+    // foreground fetch ever finds a frame held by the prefetcher.
+    Result<bool> loaded = pool_->Prefetch(id);
     lock.lock();
     --in_flight_;
     ++stats_.completed;
-    if (!fetch_status.ok()) {
+    if (!loaded.ok()) {
       ++stats_.failed;
-      if (stats_.first_error.ok()) stats_.first_error = fetch_status;
+      if (stats_.first_error.ok()) stats_.first_error = loaded.status();
+    } else if (!*loaded) {
+      ++stats_.no_frame;
     }
     if (queue_.empty() && in_flight_ == 0) drain_cv_.notify_all();
   }

@@ -14,11 +14,14 @@
 namespace secxml {
 
 /// Document-order readahead for sequential page sweeps: a small pool of
-/// background workers that fetch requested pages into the shared BufferPool
-/// and immediately unpin them, so a later synchronous Fetch by the sweep is
-/// a cache hit. This overlaps device read latency (LatencyPagedFile, real
-/// disks) with the computation between pages — the sweep stays simple and
-/// synchronous while up to `num_workers` reads are in flight.
+/// background workers that load requested pages into the shared BufferPool
+/// without pinning them (BufferPool::Prefetch), so a later synchronous Fetch
+/// by the sweep is a cache hit. Because a prefetch holds no pin, it can
+/// never take the last frame a foreground query needs: when a shard has no
+/// free or evictable frame the request is dropped (counted in no_frame).
+/// This overlaps device read latency (LatencyPagedFile, real disks) with
+/// the computation between pages — the sweep stays simple and synchronous
+/// while up to `num_workers` reads are in flight.
 ///
 /// Thread safety: Request/Drain/stats may be called from any thread; the
 /// workers only touch the BufferPool (itself fully thread-safe). Lock
@@ -38,12 +41,16 @@ class Readahead {
     /// Requests rejected because the queue was full or the page was already
     /// queued.
     uint64_t dropped = 0;
-    /// Background fetches finished (buffer-pool hit or physical read).
+    /// Background fetches finished (already resident, physical read, no
+    /// frame, or failed).
     uint64_t completed = 0;
-    /// Background fetches that returned an error (e.g. shard exhausted, or
-    /// an I/O fault); harmless for correctness — the sweep's own Fetch
-    /// retries synchronously — but surfaced so callers can see a device
-    /// going bad even when the foreground path later succeeds.
+    /// Completed requests dropped because every frame of the page's shard
+    /// was pinned by foreground work (the page was not loaded).
+    uint64_t no_frame = 0;
+    /// Background fetches that returned an error (an I/O fault); harmless
+    /// for correctness — the sweep's own Fetch retries synchronously — but
+    /// surfaced so callers can see a device going bad even when the
+    /// foreground path later succeeds.
     uint64_t failed = 0;
     /// Status of the first failed background fetch (OK when failed == 0).
     Status first_error = Status::OK();

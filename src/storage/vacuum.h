@@ -14,8 +14,8 @@ namespace secxml {
 /// *page boundaries*. The planner cuts pages at access-code run boundaries
 /// so that pages come out code-homogeneous wherever runs are long enough: a
 /// homogeneous page has no embedded transitions, its change bit stays
-/// clear, and every per-class page verdict (SubjectView::ClassifyPage, the
-/// batch dead-mask) becomes decisive — dead pages are skipped, not loaded.
+/// clear, and every per-class page verdict (ClassifyPage, the batch
+/// dead-mask) becomes decisive — dead pages are skipped, not loaded.
 ///
 /// This header is a pure algorithm over the per-record code sequence; the
 /// record store supplies its page geometry explicitly (src/storage must not

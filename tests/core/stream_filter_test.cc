@@ -88,44 +88,6 @@ TEST(SecureStreamFilterTest, StreamTooLongForLabelingFails) {
   EXPECT_FALSE(ParseXmlStream(xml, &filter).ok());
 }
 
-TEST(SecureStreamFilterTest, ViewOnOffByteIdentical) {
-  // Differential: the compiled byte-table path (use_view=true, default) and
-  // the direct codebook path must emit byte-identical output. This is the
-  // regression for the stream filter's private access-check copy drifting
-  // from the query path — both now run through LabelStreamCursor.
-  for (uint64_t seed = 1; seed <= 6; ++seed) {
-    XMarkOptions opts;
-    opts.seed = seed;
-    opts.target_nodes = 2000;
-    Document doc;
-    ASSERT_TRUE(GenerateXMark(opts, &doc).ok());
-    std::string xml = WriteXml(doc);
-
-    Rng rng(seed * 37);
-    std::vector<AclSeed> seeds = {{0, rng.Bernoulli(0.8)}};
-    for (int i = 0; i < 25; ++i) {
-      seeds.push_back({static_cast<NodeId>(rng.Uniform(doc.NumNodes())),
-                       rng.Bernoulli(0.5)});
-    }
-    IntervalAccessMap map(static_cast<NodeId>(doc.NumNodes()), 1);
-    map.SetSubjectIntervals(0, PropagateMostSpecificOverride(doc, seeds));
-    DolLabeling labeling = DolLabeling::BuildFromEvents(
-        map.num_nodes(), map.InitialAcl(), map.CollectEvents());
-
-    std::string with_view, without_view;
-    SecureStreamFilter on(&labeling, 0, &with_view, /*use_view=*/true);
-    SecureStreamFilter off(&labeling, 0, &without_view, /*use_view=*/false);
-    ASSERT_TRUE(ParseXmlStream(xml, &on).ok());
-    ASSERT_TRUE(ParseXmlStream(xml, &off).ok());
-    EXPECT_EQ(with_view, without_view) << "seed " << seed;
-    // Both paths consult the labels equally often; only the lookup
-    // machinery differs.
-    EXPECT_EQ(on.exec_stats().nodes_scanned, off.exec_stats().nodes_scanned)
-        << "seed " << seed;
-    EXPECT_EQ(on.exec_stats().codes_checked, off.exec_stats().codes_checked);
-  }
-}
-
 TEST(SecureStreamFilterTest, MatchesMaterializedFilteredWriter) {
   // Property: the one-pass stream filter and the in-memory filtered writer
   // produce structurally identical views.

@@ -1,18 +1,18 @@
 // Exercises the execution layer (src/exec) directly against the primitives
 // it unified:
 //  - SecureCursor::FetchCandidate agrees with SecureStore::Accessible on
-//    every node, view on or off, page skip on or off;
-//  - the compiled SubjectView page verdicts and the header-direct
+//    every node, page skip on or off;
+//  - the cursor's column-derived page verdicts and the header-direct
 //    SecureStore::PageWholly* tests agree on every page of a seeded store
-//    for every subject (the single-classification regression — both now run
-//    through SubjectView::ClassifyPage);
+//    for every subject, and match per-node ground truth (the
+//    single-classification regression — both run through ClassifyPage);
 //  - ChildWalk yields exactly the children a manual FollowingSibling walk
 //    yields, with per-child accessibility matching the store;
 //  - LabelStreamCursor agrees with DolLabeling::Accessible in monotone
 //    sweeps, including forward gaps (a stream filter skipping suppressed
 //    subtrees never checks the nodes inside them);
 //  - ExecStats invariants: access_only_fetches is structurally zero and
-//    every scanned record is either ACCESS-checked or provably check-free.
+//    every scanned record is ACCESS-checked.
 
 #include "exec/secure_cursor.h"
 
@@ -63,56 +63,53 @@ TEST(SecureCursorTest, FetchCandidateAgreesWithStoreAccessible) {
   Fixture f;
   BuildFixture(&f);
   for (SubjectId s = 0; s < kNumSubjects; ++s) {
-    for (bool use_view : {true, false}) {
-      for (bool page_skip : {true, false}) {
-        SecureCursor cursor(f.store.get(),
-                            {/*secure=*/true, s, page_skip, use_view});
-        ASSERT_TRUE(cursor.Attach().ok());
-        cursor.BeginScan();
-        for (NodeId n = 0; n < f.store->num_nodes(); ++n) {
-          NokRecord rec{};
-          bool accessible = true;
-          auto fetched = cursor.FetchCandidate(n, &rec, &accessible);
-          ASSERT_TRUE(fetched.ok()) << fetched.status();
-          auto want = f.store->Accessible(s, n);
-          ASSERT_TRUE(want.ok()) << want.status();
-          if (!*fetched) {
-            // Skipped without loading: only allowed when the whole page is
-            // provably dead, which implies the node is inaccessible.
-            EXPECT_TRUE(page_skip);
-            EXPECT_FALSE(*want) << "node " << n << " subject " << s;
-          } else {
-            EXPECT_EQ(accessible, *want) << "node " << n << " subject " << s
-                                         << " use_view " << use_view;
-            auto direct = f.store->nok()->Record(n);
-            ASSERT_TRUE(direct.ok());
-            EXPECT_EQ(rec.tag, direct->tag);
-            EXPECT_EQ(rec.depth, direct->depth);
-            EXPECT_EQ(rec.subtree_size, direct->subtree_size);
-          }
+    for (bool page_skip : {true, false}) {
+      SecureCursor cursor(f.store.get(), {/*secure=*/true, s, page_skip});
+      ASSERT_TRUE(cursor.Attach().ok());
+      cursor.BeginScan();
+      for (NodeId n = 0; n < f.store->num_nodes(); ++n) {
+        NokRecord rec{};
+        bool accessible = true;
+        auto fetched = cursor.FetchCandidate(n, &rec, &accessible);
+        ASSERT_TRUE(fetched.ok()) << fetched.status();
+        auto want = f.store->Accessible(s, n);
+        ASSERT_TRUE(want.ok()) << want.status();
+        if (!*fetched) {
+          // Skipped without loading: only allowed when the whole page is
+          // provably dead, which implies the node is inaccessible.
+          EXPECT_TRUE(page_skip);
+          EXPECT_FALSE(*want) << "node " << n << " subject " << s;
+        } else {
+          EXPECT_EQ(accessible, *want) << "node " << n << " subject " << s;
+          auto direct = f.store->nok()->Record(n);
+          ASSERT_TRUE(direct.ok());
+          EXPECT_EQ(rec.tag, direct->tag);
+          EXPECT_EQ(rec.depth, direct->depth);
+          EXPECT_EQ(rec.subtree_size, direct->subtree_size);
         }
-        EXPECT_EQ(cursor.stats().access_only_fetches, 0u);
       }
+      EXPECT_EQ(cursor.stats().access_only_fetches, 0u);
     }
   }
 }
 
-// The satellite regression: both page-skip implementations (compiled view
-// verdicts and header-direct SecureStore probes) classify every page of a
-// seeded document identically for every subject.
+// The single-classification regression: the cursor's page verdicts (the
+// attached column's bit for first_code) and the header-direct SecureStore
+// probes (a codebook probe for first_code) classify every page of a seeded
+// document identically for every subject, and both are sound against the
+// embedded per-node codes.
 TEST(SecureCursorTest, PageVerdictsAgreeWithHeaderDirectProbes) {
   Fixture f;
   BuildFixture(&f);
+  size_t dead_pages = 0;
   for (SubjectId s = 0; s < kNumSubjects; ++s) {
-    auto view = f.store->View(s);
-    ASSERT_TRUE(view.ok());
+    SecureCursor cursor(f.store.get(), {/*secure=*/true, s});
+    ASSERT_TRUE(cursor.Attach().ok());
     for (size_t p = 0; p < f.store->nok()->num_pages(); ++p) {
-      EXPECT_EQ((*view)->PageWhollyDead(p),
+      EXPECT_EQ(cursor.PageWhollyDead(p),
                 f.store->PageWhollyInaccessible(p, s))
           << "page " << p << " subject " << s;
-      EXPECT_EQ((*view)->PageWhollyLive(p),
-                f.store->PageWhollyAccessible(p, s))
-          << "page " << p << " subject " << s;
+      if (cursor.PageWhollyDead(p)) ++dead_pages;
       // Ground truth from the embedded codes: a "wholly dead" verdict must
       // mean every node in the page is inaccessible (and dually for live).
       const auto& info = f.store->nok()->page_infos()[p];
@@ -127,6 +124,25 @@ TEST(SecureCursorTest, PageVerdictsAgreeWithHeaderDirectProbes) {
       if (f.store->PageWhollyAccessible(p, s)) EXPECT_TRUE(all_live);
     }
   }
+  // The fixture's 40% accessibility over 32-record pages yields dead pages,
+  // so the comparison above is not vacuous.
+  EXPECT_GT(dead_pages, 0u);
+}
+
+TEST(SecureCursorTest, AttachRejectsUnknownSubject) {
+  Fixture f;
+  BuildFixture(&f);
+  SecureCursor cursor(f.store.get(),
+                      {/*secure=*/true, static_cast<SubjectId>(kNumSubjects)});
+  Status st = cursor.Attach();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st;
+  // Out-of-range codes (corrupt page bytes) deny instead of reading past
+  // the column.
+  SecureCursor known(f.store.get(), {/*secure=*/true, /*subject=*/0});
+  ASSERT_TRUE(known.Attach().ok());
+  EXPECT_FALSE(known.CodeAccessible(
+      static_cast<uint32_t>(f.store->codebook().size())));
+  EXPECT_FALSE(known.CodeAccessible(0xFFFFFFFFu));
 }
 
 TEST(SecureCursorTest, ChildWalkMatchesManualWalk) {
@@ -177,8 +193,7 @@ TEST(SecureCursorTest, ChildWalkMatchesManualWalk) {
     // dropped lies in a wholly-dead page (hence inaccessible).
     for (SubjectId s = 0; s < kNumSubjects; ++s) {
       for (bool page_skip : {false, true}) {
-        SecureCursor cursor(f.store.get(),
-                            {/*secure=*/true, s, page_skip, true});
+        SecureCursor cursor(f.store.get(), {/*secure=*/true, s, page_skip});
         ASSERT_TRUE(cursor.Attach().ok());
         cursor.BeginScan();
         SecureCursor::ChildWalk walk(&cursor, parent, prec);
@@ -219,23 +234,21 @@ TEST(SecureCursorTest, LabelStreamCursorMatchesLabeling) {
   BuildFixture(&f);
   const DolLabeling& labeling = f.labeling;
   for (SubjectId s = 0; s < kNumSubjects; ++s) {
-    for (bool use_view : {true, false}) {
-      // Dense monotone sweep.
-      LabelStreamCursor dense(&labeling, s, use_view);
-      for (NodeId n = 0; n < labeling.num_nodes(); ++n) {
-        EXPECT_EQ(dense.Accessible(n), labeling.Accessible(s, n))
-            << "node " << n << " subject " << s;
-      }
-      EXPECT_EQ(dense.stats().nodes_scanned, labeling.num_nodes());
-      EXPECT_EQ(dense.stats().codes_checked, labeling.num_nodes());
+    // Dense monotone sweep.
+    LabelStreamCursor dense(&labeling, s);
+    for (NodeId n = 0; n < labeling.num_nodes(); ++n) {
+      EXPECT_EQ(dense.Accessible(n), labeling.Accessible(s, n))
+          << "node " << n << " subject " << s;
+    }
+    EXPECT_EQ(dense.stats().nodes_scanned, labeling.num_nodes());
+    EXPECT_EQ(dense.stats().codes_checked, labeling.num_nodes());
 
-      // Sweep with forward gaps (a filter skipping suppressed subtrees
-      // never consults the nodes inside them).
-      LabelStreamCursor gappy(&labeling, s, use_view);
-      for (NodeId n = 0; n < labeling.num_nodes(); n += 1 + n % 7) {
-        EXPECT_EQ(gappy.Accessible(n), labeling.Accessible(s, n))
-            << "node " << n << " subject " << s;
-      }
+    // Sweep with forward gaps (a filter skipping suppressed subtrees
+    // never consults the nodes inside them).
+    LabelStreamCursor gappy(&labeling, s);
+    for (NodeId n = 0; n < labeling.num_nodes(); n += 1 + n % 7) {
+      EXPECT_EQ(gappy.Accessible(n), labeling.Accessible(s, n))
+          << "node " << n << " subject " << s;
     }
   }
 }
@@ -243,27 +256,24 @@ TEST(SecureCursorTest, LabelStreamCursorMatchesLabeling) {
 TEST(SecureCursorTest, ScanStatsInvariants) {
   Fixture f;
   BuildFixture(&f);
-  for (bool use_view : {true, false}) {
-    SecureCursor cursor(f.store.get(), {/*secure=*/true, /*subject=*/0,
-                                        /*page_skip=*/true, use_view});
-    ASSERT_TRUE(cursor.Attach().ok());
-    cursor.BeginScan();
-    for (NodeId n = 0; n < f.store->num_nodes(); ++n) {
-      NokRecord rec{};
-      bool acc = true;
-      ASSERT_TRUE(cursor.FetchCandidate(n, &rec, &acc).ok());
-    }
-    const ExecStats& st = cursor.stats();
-    // The zero-extra-I/O property as a structural invariant.
-    EXPECT_EQ(st.access_only_fetches, 0u);
-    // Every materialized record was either checked or on a check-free page.
-    EXPECT_EQ(st.nodes_scanned, st.codes_checked + st.checks_elided);
-    // Without the compiled view there is no check-free fast path.
-    if (!use_view) EXPECT_EQ(st.checks_elided, 0u);
-    // The fixture's 40% accessibility over 32-record pages produces dead
-    // pages; the skip counter must see them.
-    EXPECT_GT(st.pages_skipped, 0u);
+  SecureCursor cursor(f.store.get(), {/*secure=*/true, /*subject=*/0,
+                                      /*page_skip=*/true});
+  ASSERT_TRUE(cursor.Attach().ok());
+  cursor.BeginScan();
+  for (NodeId n = 0; n < f.store->num_nodes(); ++n) {
+    NokRecord rec{};
+    bool acc = true;
+    ASSERT_TRUE(cursor.FetchCandidate(n, &rec, &acc).ok());
   }
+  const ExecStats& st = cursor.stats();
+  // The zero-extra-I/O property as a structural invariant.
+  EXPECT_EQ(st.access_only_fetches, 0u);
+  // Every materialized record was ACCESS-checked; nothing is elided.
+  EXPECT_EQ(st.nodes_scanned, st.codes_checked);
+  EXPECT_EQ(st.checks_elided, 0u);
+  // The fixture's 40% accessibility over 32-record pages produces dead
+  // pages; the skip counter must see them.
+  EXPECT_GT(st.pages_skipped, 0u);
 }
 
 }  // namespace

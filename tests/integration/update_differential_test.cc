@@ -2,19 +2,19 @@
 // in a scripted mixed sequence, the incrementally maintained state must be
 // indistinguishable from a from-scratch rebuild —
 //
-//  * each subject's cached SubjectView (patched at commit from the update's
-//    page delta, DESIGN.md §11) is byte-identical, accessor by accessor, to
-//    SubjectView::Compile run fresh against the committed snapshot;
-//  * GroupSubjects (epoch-stamped column cache, patched by appending the
-//    new codebook entries) partitions exactly like GroupSubjectsByColumn
-//    over the current codebook;
-//  * query answers out of the warm (patched) caches equal the answers after
-//    DropVisibilityCaches forces cold recompilation, under both access
+//  * every subject's cached codebook column (extended at commit by the
+//    update's appended codebook entries, DESIGN.md §11) equals
+//    Codebook::Column computed fresh from the committed codebook;
+//  * GroupSubjects (served from the same column cache) partitions exactly
+//    like GroupSubjectsByColumn over the current codebook;
+//  * query answers out of the warm (extended) caches equal the answers
+//    after DropVisibilityCaches forces cold recomputation, under both access
 //    semantics and through both the serial and the batch evaluator.
 //
-// Plus the epoch-boundary regressions for the stale-view hazard: a view
-// compiled for one epoch is never served at another, and a pinned reader
-// straddling a commit keeps resolving against its pinned snapshot.
+// Plus the epoch-boundary regressions for the stale-column hazard: a column
+// cached for one epoch is never served at another, and a pinned reader
+// straddling a commit keeps resolving against its pinned snapshot — the
+// column its cursor checks included.
 
 #include <gtest/gtest.h>
 
@@ -25,7 +25,7 @@
 #include "core/dol_labeling.h"
 #include "core/policy.h"
 #include "core/secure_store.h"
-#include "core/subject_view.h"
+#include "exec/secure_cursor.h"
 #include "query/batch_evaluator.h"
 #include "query/evaluator.h"
 #include "storage/paged_file.h"
@@ -70,43 +70,24 @@ std::unique_ptr<Fixture> MakeFixture(uint64_t seed, uint32_t nodes,
   return f;
 }
 
-// Accessor-by-accessor equality of a served view against a fresh compile:
-// the incremental patch must reproduce the recompile exactly, not just
-// "conservatively" (a lost check-free bit would hide a perf regression, a
-// wrong verdict an answer bug).
-void ExpectViewIdentical(const SubjectView& got, const SubjectView& want,
-                         SubjectId subject, const char* when) {
-  ASSERT_EQ(got.subject(), subject) << when;
-  ASSERT_EQ(got.num_codes(), want.num_codes()) << when << " s" << subject;
-  ASSERT_EQ(got.num_pages(), want.num_pages()) << when << " s" << subject;
-  for (size_t c = 0; c < want.num_codes(); ++c) {
-    ASSERT_EQ(got.CodeAccessible(static_cast<uint32_t>(c)),
-              want.CodeAccessible(static_cast<uint32_t>(c)))
-        << when << " subject " << subject << " code " << c;
-  }
-  for (size_t p = 0; p < want.num_pages(); ++p) {
-    ASSERT_EQ(got.Verdict(p), want.Verdict(p))
-        << when << " subject " << subject << " page " << p;
-    ASSERT_EQ(got.NextLivePage(p), want.NextLivePage(p))
-        << when << " subject " << subject << " page " << p;
-    ASSERT_EQ(got.PageCheckFree(p), want.PageCheckFree(p))
-        << when << " subject " << subject << " page " << p;
-  }
+// The served column (cache hit when warm, else computed) against a fresh
+// Codebook::Column of the committed codebook: the in-place extension at
+// commit must reproduce the recomputation bit for bit.
+void ExpectColumnFresh(SecureStore* store, SubjectId subject,
+                       const char* when) {
+  auto served = store->SubjectColumn(subject);
+  ASSERT_TRUE(served.ok()) << when << ": " << served.status();
+  EXPECT_EQ(*served, store->codebook().Column(subject))
+      << when << " subject " << subject;
 }
 
 // Every differential the suite owes after one committed update.
 void CheckAfterUpdate(Fixture* f, size_t num_subjects,
                       const std::vector<PatternTree>& queries,
                       const char* when) {
-  // 1. Served views (cached+patched or lazily compiled) vs fresh compiles.
+  // 1. Served columns (cached+extended or lazily computed) vs fresh ones.
   for (SubjectId s = 0; s < num_subjects; ++s) {
-    auto served = f->store->View(s);
-    ASSERT_TRUE(served.ok()) << when << ": " << served.status();
-    SubjectView fresh =
-        SubjectView::Compile(f->store->codebook(),
-                             f->store->nok()->page_infos(), s,
-                             f->store->nok());
-    ExpectViewIdentical(**served, fresh, s, when);
+    ExpectColumnFresh(f->store.get(), s, when);
   }
 
   // 2. Cached column grouping vs a direct recomputation.
@@ -120,7 +101,7 @@ void CheckAfterUpdate(Fixture* f, size_t num_subjects,
     EXPECT_EQ(got[k].members, want[k].members) << when << " class " << k;
   }
 
-  // 3. Answers: warm (patched caches) vs cold (recompiled), serial vs
+  // 3. Answers: warm (extended caches) vs cold (recomputed), serial vs
   //    batch, both semantics.
   for (AccessSemantics sem :
        {AccessSemantics::kBinding, AccessSemantics::kView}) {
@@ -157,7 +138,7 @@ void CheckAfterUpdate(Fixture* f, size_t num_subjects,
         ASSERT_TRUE(r.ok()) << when << ": " << r.status();
         EXPECT_EQ(r->answers, warm[s])
             << when << " query " << qi << " subject " << s << " semantics "
-            << static_cast<int>(sem) << " (cold recompile vs patched)";
+            << static_cast<int>(sem) << " (cold recompute vs extended)";
       }
     }
   }
@@ -196,7 +177,7 @@ TEST_P(UpdateDifferentialTest, EveryUpdatePatchesExactly) {
   // (a dropped cache would trivially pass the differential).
   CheckAfterUpdate(f.get(), num_subjects, queries, "baseline");
   for (SubjectId s = 0; s < num_subjects; ++s) {
-    ASSERT_TRUE(f->store->View(s).ok());
+    ASSERT_TRUE(f->store->SubjectColumn(s).ok());
     ASSERT_TRUE(f->store->HiddenSubtreeIntervals(s).ok());
   }
   (void)f->store->GroupSubjects({0, 1, 2, 3, 4});
@@ -226,7 +207,7 @@ TEST_P(UpdateDifferentialTest, EveryUpdatePatchesExactly) {
     CheckAfterUpdate(f.get(), num_subjects, queries, "range-acl");
   }
 
-  // 6..7: subject additions (codebook-append; views/columns restamped).
+  // 6..7: subject additions (codebook-append; columns restamped).
   {
     auto added = f->store->AddSubject(rng.Bernoulli(0.5));
     ASSERT_TRUE(added.ok());
@@ -239,8 +220,8 @@ TEST_P(UpdateDifferentialTest, EveryUpdatePatchesExactly) {
     CheckAfterUpdate(f.get(), num_subjects, queries, "add-subject-like");
   }
 
-  // 8: an ACL update for a *new* subject (patched views must extend their
-  // code tables for entries the update interned).
+  // 8: an ACL update for a *new* subject (cached columns must extend by
+  // the entries the update interned).
   ASSERT_TRUE(f->store
                   ->SetSubtreeAccess(PickSubtree(f->doc, &rng, 20, 200),
                                      static_cast<SubjectId>(num_subjects - 1),
@@ -248,7 +229,7 @@ TEST_P(UpdateDifferentialTest, EveryUpdatePatchesExactly) {
                   .ok());
   CheckAfterUpdate(f.get(), num_subjects, queries, "new-subject-acl");
 
-  // 9: remove the last subject (renumbering: caches drop and recompile).
+  // 9: remove the last subject (renumbering: caches drop and recompute).
   ASSERT_TRUE(
       f->store->RemoveSubject(static_cast<SubjectId>(num_subjects - 1)).ok());
   --num_subjects;
@@ -275,17 +256,16 @@ TEST_P(UpdateDifferentialTest, EveryUpdatePatchesExactly) {
     CheckAfterUpdate(f.get(), num_subjects, queries, "insert-subtree");
   }
 
-  // 12: codebook compaction (renumbering: caches drop and recompile).
+  // 12: codebook compaction (renumbering: caches drop and recompute).
   ASSERT_TRUE(f->store->CompactCodebook().ok());
   CheckAfterUpdate(f.get(), num_subjects, queries, "compact");
 
   // The ACL updates above must have gone through the incremental path at
   // least once (warmed caches + kPatch effect), or this suite tested
-  // nothing but recompilation.
+  // nothing but recomputation. No commit maintains per-subject views.
   SecureStore::UpdateStats us = f->store->update_stats();
-  EXPECT_GT(us.views_patched, 0u);
   EXPECT_GT(us.columns_patched, 0u);
-  EXPECT_GT(us.views_dropped, 0u);  // remove-subject + compact paths
+  EXPECT_EQ(us.views_patched, 0u);
   EXPECT_EQ(us.epochs_advanced, us.updates_applied);
   EXPECT_EQ(f->store->epochs()->active_pins(), 0u);
 }
@@ -293,28 +273,29 @@ TEST_P(UpdateDifferentialTest, EveryUpdatePatchesExactly) {
 INSTANTIATE_TEST_SUITE_P(Seeds, UpdateDifferentialTest,
                          ::testing::Range(0, 8));  // 8 seeds
 
-TEST(UpdateEpochTest, ViewIsNeverServedAcrossAnEpochBoundary) {
+TEST(UpdateEpochTest, ColumnIsNeverServedAcrossAnEpochBoundary) {
   auto f = MakeFixture(77, 1500, 3);
-  auto v1 = f->store->View(0);
-  ASSERT_TRUE(v1.ok());
-  // Same epoch: the cache may (and should) serve the same object.
-  auto v1b = f->store->View(0);
-  ASSERT_TRUE(v1b.ok());
-  EXPECT_EQ(v1->get(), v1b->get());
+  auto c1 = f->store->SubjectColumn(0);  // warms the cache at this epoch
+  ASSERT_TRUE(c1.ok());
+  const size_t codes_before = f->store->codebook().size();
+  ASSERT_EQ(c1->size(), codes_before);
 
+  // Deny subject 0 a subtree, then grant subject 1 the same subtree: the
+  // combined ACLs are new to the codebook, so the commits append entries
+  // and extend the cached column in place. A stale column would be short.
   NodeId root = 1;
   while (f->doc.SubtreeSize(root) < 50) ++root;
   ASSERT_TRUE(f->store->SetSubtreeAccess(root, 0, false).ok());
+  ASSERT_TRUE(f->store->SetSubtreeAccess(root, 1, true).ok());
+  ASSERT_GT(f->store->codebook().size(), codes_before);
 
-  // New epoch: a fresh (patched) object, never the pre-update one — even
-  // though the caller still holds the old view alive via shared_ptr.
-  auto v2 = f->store->View(0);
-  ASSERT_TRUE(v2.ok());
-  EXPECT_NE(v1->get(), v2->get());
-  SubjectView fresh = SubjectView::Compile(f->store->codebook(),
-                                           f->store->nok()->page_infos(), 0,
-                                           f->store->nok());
-  ExpectViewIdentical(**v2, fresh, 0, "post-update");
+  // The new epoch serves the extended column, equal to a fresh one; the
+  // caller's earlier copy is untouched by the in-place extension.
+  ExpectColumnFresh(f->store.get(), 0, "post-update");
+  EXPECT_EQ(c1->size(), codes_before);
+  auto acc = f->store->Accessible(0, root);
+  ASSERT_TRUE(acc.ok());
+  EXPECT_FALSE(*acc);
 }
 
 TEST(UpdateEpochTest, PinnedReaderKeepsItsSnapshotAcrossACommit) {
@@ -324,12 +305,14 @@ TEST(UpdateEpochTest, PinnedReaderKeepsItsSnapshotAcrossACommit) {
   const NodeId probe = root + 1;  // inside the toggled subtree
   auto before = f->store->Accessible(0, probe);
   ASSERT_TRUE(before.ok());
-  auto view_before = f->store->View(0);
-  ASSERT_TRUE(view_before.ok());
+  auto column_before = f->store->SubjectColumn(0);
+  ASSERT_TRUE(column_before.ok());
 
   {
     SecureStore::SnapshotPin pin(f->store.get());
     EpochManager::Epoch pinned = pin.epoch();
+    SecureCursor cursor(f->store.get(), {/*secure=*/true, /*subject=*/0});
+    ASSERT_TRUE(cursor.Attach().ok());
 
     // A commit lands while this reader is pinned (single-threaded here;
     // the cross-thread version is the concurrency suite's job).
@@ -337,22 +320,31 @@ TEST(UpdateEpochTest, PinnedReaderKeepsItsSnapshotAcrossACommit) {
     EXPECT_GT(f->store->epochs()->current(), pinned);
 
     // Every read through the pin still resolves against the old snapshot:
-    // accessibility, the codebook, and a view compiled under the pin.
+    // accessibility, the codebook, a column taken under the pin, and the
+    // cursor attached before the commit.
     auto pinned_access = f->store->Accessible(0, probe);
     ASSERT_TRUE(pinned_access.ok());
     EXPECT_EQ(*pinned_access, *before);
-    auto pinned_view = f->store->View(0);
-    ASSERT_TRUE(pinned_view.ok());
-    ExpectViewIdentical(**pinned_view, **view_before, 0, "pinned");
+    auto pinned_column = f->store->SubjectColumn(0);
+    ASSERT_TRUE(pinned_column.ok());
+    EXPECT_EQ(*pinned_column, *column_before);
+    EXPECT_EQ(pinned_column->size(), f->store->codebook().size());
+    NokRecord rec{};
+    bool cursor_access = !*before;
+    auto fetched = cursor.FetchCandidate(probe, &rec, &cursor_access);
+    ASSERT_TRUE(fetched.ok()) << fetched.status();
+    if (*fetched) {
+      EXPECT_EQ(cursor_access, *before);
+    } else {
+      EXPECT_FALSE(*before);  // skipped only on a page dead at the pin
+    }
   }
 
   // Unpinned, the same reads see the committed update.
   auto after = f->store->Accessible(0, probe);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(*after, !*before);
-  auto view_after = f->store->View(0);
-  ASSERT_TRUE(view_after.ok());
-  EXPECT_NE(view_after->get(), view_before->get());
+  ExpectColumnFresh(f->store.get(), 0, "after unpin");
   EXPECT_EQ(f->store->epochs()->active_pins(), 0u);
 }
 

@@ -265,9 +265,10 @@ TEST(BatchEvalTest, MoreThan64ClassesRunAsOneWideScan) {
 }
 
 // Width sweep across the word boundaries the wide mask has to get right:
-// just past one word (65), multi-word (130), and the full mask (512, via
-// 512 subjects whose profiles collide down to ~hundreds of classes plus a
-// distinct-column run at smaller width). Wide scan == chunked scan ==
+// just past one word (65 and 72 — the latter a mid-word width with one
+// distinct column per subject), multi-word (130), and the full mask (512,
+// via 512 subjects whose profiles collide down to ~hundreds of classes plus
+// a distinct-column run at smaller width). Wide scan == chunked scan ==
 // per-subject Evaluate, across binding/view and ordered/unordered.
 class WideBatchWidthTest : public ::testing::TestWithParam<size_t> {};
 
@@ -324,7 +325,7 @@ TEST_P(WideBatchWidthTest, WideEqualsChunkedEqualsPerSubject) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, WideBatchWidthTest,
-                         ::testing::Values(65, 130));
+                         ::testing::Values(65, 72, 130));
 
 TEST(BatchEvalTest, FullWidthBatchRunsAsOneScan) {
   // kMaxBatchClasses subjects exercising every word of the mask. The doc is

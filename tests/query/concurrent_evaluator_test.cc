@@ -144,11 +144,13 @@ TEST_P(ConcurrentEvaluatorTest, RepeatedRunsAreDeterministic) {
   }
 }
 
-TEST_P(ConcurrentEvaluatorTest, ViewsAndReadaheadMatchDirectPath) {
-  // The full new query-time machinery at once: per-subject compiled views
-  // shared by four workers (first users of a subject race to compile) and
-  // background readahead feeding the kView visibility sweeps. Answers must
-  // equal the serial, view-off, no-readahead reference.
+TEST_P(ConcurrentEvaluatorTest, ReadaheadMatchesDirectPath) {
+  // Four workers sharing per-subject cached columns (first users of a
+  // subject race to fill the cache) and background readahead feeding the
+  // kView visibility sweeps, over a 16-frame, 4-shard pool: each worker
+  // pins one page at a time, so only a pinning prefetch could exhaust a
+  // shard. Answers must equal the serial, no-readahead reference, and no
+  // query may fail.
   uint64_t seed = static_cast<uint64_t>(GetParam());
   Fixture f;
   BuildFixture(seed, &f);
@@ -162,13 +164,12 @@ TEST_P(ConcurrentEvaluatorTest, ViewsAndReadaheadMatchDirectPath) {
       EvalOptions opts;
       opts.semantics = sem;
       opts.subject = job.subject;
-      opts.use_view = false;
       auto r = eval.Evaluate(job.pattern, opts);
       ASSERT_TRUE(r.ok()) << r.status();
       want.push_back(r->answers);
     }
 
-    // Cold start for the concurrent run: caches dropped, views recompile
+    // Cold start for the concurrent run: caches dropped, columns refill
     // under contention, sweeps re-run with prefetching.
     f.store->DropVisibilityCaches();
     ASSERT_TRUE(f.store->nok()->buffer_pool()->EvictAll().ok());
@@ -176,7 +177,6 @@ TEST_P(ConcurrentEvaluatorTest, ViewsAndReadaheadMatchDirectPath) {
     QueryDriverOptions dopts;
     dopts.num_threads = 4;
     dopts.semantics = sem;
-    dopts.use_view = true;
     QueryDriver driver(f.store.get(), dopts);
     BatchResult batch = driver.Run(jobs);
     f.store->nok()->SetReadahead(0, 0);

@@ -149,10 +149,6 @@ TEST(EvaluatorTest, SecureEvaluationAddsNoPageReads) {
   // the same pages as the structure.
   auto f = SecureFixture::Make(10000, 99, 0.7);
   QueryEvaluator eval(f->store.get());
-  // Compiling the subject's access view reads each changed page once (the
-  // check-free scan) — a one-time per-subject cost, not per-query I/O.
-  // Warm it so the comparison below measures evaluation reads only.
-  ASSERT_TRUE(f->store->View(0).ok());
   for (const char* q : kPaperQueries) {
     EvalOptions plain;
     plain.semantics = AccessSemantics::kNone;

@@ -1,8 +1,10 @@
 // Readahead prefetcher contract: requested pages become buffer-pool
-// residents (so the issuer's later Fetch is a cache hit), Drain() really
-// waits for every in-flight fetch, duplicate/overflow requests are dropped
-// rather than queued twice, and concurrent requesters plus foreground
-// fetches on the same pool race safely (run under TSan via -L concurrency).
+// residents (so the issuer's later Fetch is a cache hit) without ever
+// holding a pin, Drain() really waits for every in-flight fetch,
+// duplicate/overflow requests are dropped rather than queued twice, a
+// shard whose frames are all pinned drops the prefetch instead of failing,
+// and concurrent requesters plus foreground fetches on the same pool race
+// safely (run under TSan via -L concurrency).
 
 #include "storage/readahead.h"
 
@@ -91,6 +93,60 @@ TEST_F(ReadaheadTest, DuplicateRequestsAreDropped) {
   Readahead::Stats stats = ra.stats();
   EXPECT_GE(stats.dropped, 1u);
   EXPECT_EQ(stats.requested + stats.dropped, 100u);
+}
+
+TEST_F(ReadaheadTest, PrefetchHoldsNoPinAndDropsWhenShardIsPinned) {
+  FillFile(4);
+  BufferPool pool(&file_, 2, /*num_shards=*/1);
+  // The page becomes resident but unpinned; a prefetch is not an access,
+  // so it counts the physical read and no cache hit.
+  auto loaded = pool.Prefetch(0);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_TRUE(*loaded);
+  EXPECT_EQ(pool.num_cached(), 1u);
+  EXPECT_EQ(pool.num_pinned(), 0u);
+  EXPECT_EQ(pool.stats().page_reads, 1u);
+  EXPECT_EQ(pool.stats().cache_hits, 0u);
+
+  // Foreground fetches may pin every frame: the unpinned prefetched page
+  // is simply evicted to make room.
+  auto h1 = pool.Fetch(1);
+  auto h2 = pool.Fetch(2);
+  ASSERT_TRUE(h1.ok()) << h1.status();
+  ASSERT_TRUE(h2.ok()) << h2.status();
+  EXPECT_EQ(pool.num_pinned(), 2u);
+
+  // Every frame pinned: the prefetch is dropped — no error, no read.
+  const uint64_t reads = pool.stats().page_reads;
+  auto dropped = pool.Prefetch(3);
+  ASSERT_TRUE(dropped.ok()) << dropped.status();
+  EXPECT_FALSE(*dropped);
+  EXPECT_EQ(pool.stats().page_reads, reads);
+  {
+    // Through a worker the drop is counted, not reported as a failure.
+    Readahead ra(&pool, /*num_workers=*/1);
+    ra.Request(3);
+    ra.Drain();
+    Readahead::Stats stats = ra.stats();
+    EXPECT_EQ(stats.completed, 1u);
+    EXPECT_EQ(stats.no_frame, 1u);
+    EXPECT_EQ(stats.failed, 0u);
+    EXPECT_TRUE(stats.first_error.ok());
+  }
+  EXPECT_EQ(pool.stats().page_reads, reads);
+
+  // Once a frame is evictable again the same request loads the page, and
+  // the foreground fetch that follows is a hit.
+  h2->Release();
+  auto retried = pool.Prefetch(3);
+  ASSERT_TRUE(retried.ok()) << retried.status();
+  EXPECT_TRUE(*retried);
+  EXPECT_EQ(pool.num_pinned(), 1u);
+  const uint64_t hits = pool.stats().cache_hits;
+  auto h3 = pool.Fetch(3);
+  ASSERT_TRUE(h3.ok()) << h3.status();
+  EXPECT_EQ(h3->page().ReadAt<uint32_t>(0), 103u);
+  EXPECT_EQ(pool.stats().cache_hits, hits + 1);
 }
 
 TEST_F(ReadaheadTest, DestructorJoinsWorkers) {
