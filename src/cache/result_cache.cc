@@ -99,7 +99,7 @@ bool ResultCache::Publish(const ResultKey& key, Entry entry) {
     bool stale = entry.epoch < floor_epoch_ || entry.payload == nullptr;
     if (!stale) {
       for (const Event& ev : events_) {
-        if (EventAffects(ev, entry)) {
+        if (EventAffects(ev, key, entry)) {
           stale = true;
           break;
         }
@@ -161,9 +161,12 @@ void ResultCache::Abandon(const ResultKey& key) {
   shard.flight_cv.notify_all();
 }
 
-void ResultCache::InvalidateAclRange(uint64_t begin, uint64_t end,
+void ResultCache::InvalidateAclRange(uint64_t column_hi, uint64_t column_lo,
+                                     uint64_t begin, uint64_t end,
                                      Epoch epoch) {
   Event ev;
+  ev.column_hi = column_hi;
+  ev.column_lo = column_lo;
   ev.begin = begin;
   ev.end = end;
   ev.structural = false;
@@ -179,7 +182,7 @@ void ResultCache::InvalidateAclRange(uint64_t begin, uint64_t end,
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     for (auto it = shard.table.begin(); it != shard.table.end();) {
-      if (EventAffects(ev, it->second.entry)) {
+      if (EventAffects(ev, it->first, it->second.entry)) {
         it = EraseLocked(shard, it);
         invalidated_.fetch_add(1, std::memory_order_relaxed);
       } else {

@@ -45,15 +45,17 @@ struct ResultCacheOptions {
 /// computed against plus its *ACL dependency footprint*: either
 /// acl_independent (the answer cannot change under any accessibility
 /// update) or a document-order range [begin, end) outside which
-/// accessibility changes provably cannot change the answer. The store's
-/// commit hook calls InvalidateAclRange / Flush *before any reader can pin
-/// the new epoch* (SecureStore fires hooks under its snapshot-publication
-/// lock), which yields the serving rule: an entry is valid for a reader
-/// pinned at epoch R iff entry.epoch <= R — had any commit in
-/// (entry.epoch, R] affected it, the entry would already have been erased
-/// by the time R became pinnable. A reader pinned *older* than an entry
-/// must not be served it (the entry may bake in updates the reader's
-/// snapshot excludes).
+/// accessibility changes provably cannot change the answer. An
+/// accessibility update changes one subject's visibility, so it can only
+/// affect entries keyed by that subject's class fingerprint (DESIGN.md §14
+/// gives the argument). The store's commit hook calls InvalidateAclRange /
+/// Flush *before any reader can pin the new epoch* (SecureStore fires hooks
+/// under its snapshot-publication lock), which yields the serving rule: an
+/// entry is valid for a reader pinned at epoch R iff entry.epoch <= R — had
+/// any commit in (entry.epoch, R] affected it, the entry would already have
+/// been erased by the time R became pinnable. A reader pinned *older* than
+/// an entry must not be served it (the entry may bake in updates the
+/// reader's snapshot excludes).
 ///
 /// Late publishes. An answer is evaluated outside any cache lock, so an
 /// invalidation can race the evaluation and the publish must not resurrect
@@ -130,10 +132,13 @@ class ResultCache {
   /// Releases the key's flight without publishing (evaluation failed).
   void Abandon(const ResultKey& key);
 
-  /// Erases every entry an accessibility change over [begin, end) at commit
-  /// `epoch` could affect, and records the event so late publishes of
-  /// answers computed before it are rejected.
-  void InvalidateAclRange(uint64_t begin, uint64_t end, Epoch epoch);
+  /// Erases every entry an accessibility change over [begin, end) for the
+  /// visibility class with column fingerprint (column_hi, column_lo) at
+  /// commit `epoch` could affect — entries keyed by that fingerprint whose
+  /// footprint overlaps the range — and records the event so late
+  /// publishes of such answers computed before it are rejected.
+  void InvalidateAclRange(uint64_t column_hi, uint64_t column_lo,
+                          uint64_t begin, uint64_t end, Epoch epoch);
 
   /// Erases everything (structural or shape change at commit `epoch`);
   /// publishes of anything computed before `epoch` are rejected from here
@@ -161,6 +166,8 @@ class ResultCache {
   /// One recorded invalidation, kept so late publishes can be checked
   /// against commits that raced their evaluation.
   struct Event {
+    uint64_t column_hi = 0;  ///< the changed class (ACL events only)
+    uint64_t column_lo = 0;
     uint64_t begin = 0;
     uint64_t end = 0;
     bool structural = false;  ///< affects every entry regardless of range
@@ -171,10 +178,14 @@ class ResultCache {
     return shards_[ResultKeyHash{}(key) & shard_mask_];
   }
 
-  static bool EventAffects(const Event& ev, const Entry& entry) {
+  static bool EventAffects(const Event& ev, const ResultKey& key,
+                           const Entry& entry) {
     if (ev.epoch <= entry.epoch) return false;
     if (ev.structural) return true;
     if (entry.acl_independent) return false;
+    if (key.column_hi != ev.column_hi || key.column_lo != ev.column_lo) {
+      return false;
+    }
     return ev.begin < entry.end && entry.begin < ev.end;
   }
 

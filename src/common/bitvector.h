@@ -24,8 +24,24 @@ class BitVector {
     ClearPadding();
   }
 
+  /// Builds a vector of `nbits` bits from ceil(nbits/64) words, bit i at
+  /// bit (i % 64) of word i / 64 — the codebook's flat row layout.
+  static BitVector FromWords(size_t nbits, const uint64_t* words) {
+    BitVector bv;
+    bv.nbits_ = nbits;
+    bv.words_.assign(words, words + WordsFor(nbits));
+    bv.ClearPadding();
+    return bv;
+  }
+
+  /// Words needed for `nbits` bits.
+  static size_t WordsFor(size_t nbits) { return (nbits + 63) / 64; }
+
   size_t size() const { return nbits_; }
   bool empty() const { return nbits_ == 0; }
+
+  /// The backing words (WordsFor(size()) of them); padding bits are clear.
+  const uint64_t* words() const { return words_.data(); }
 
   bool Get(size_t i) const {
     SECXML_DCHECK(i < nbits_);
@@ -99,10 +115,14 @@ class BitVector {
   }
 
   /// 64-bit hash of the contents (FNV-1a over words), for dictionary keys.
-  size_t Hash() const {
-    uint64_t h = 0xcbf29ce484222325ULL ^ nbits_;
-    for (uint64_t w : words_) {
-      h ^= w;
+  size_t Hash() const { return HashWords(words_.data(), nbits_); }
+
+  /// Hash() of the vector FromWords(nbits, words) would build, without
+  /// building it.
+  static size_t HashWords(const uint64_t* words, size_t nbits) {
+    uint64_t h = 0xcbf29ce484222325ULL ^ nbits;
+    for (size_t i = 0; i < WordsFor(nbits); ++i) {
+      h ^= words[i];
       h *= 0x100000001b3ULL;
       h ^= h >> 29;
     }

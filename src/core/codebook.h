@@ -2,7 +2,7 @@
 #define SECXML_CORE_CODEBOOK_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/bitvector.h"
@@ -49,24 +49,42 @@ struct ColumnFingerprint {
 /// entries in place and may leave duplicate entries behind; per Section 3.4
 /// such redundancy is tolerated and corrected lazily (CompactStats reports
 /// the truly distinct count).
+///
+/// Storage is flat: entry e is row e of ceil(subjects/64) words in one
+/// vector, and the Intern/Find dictionary is an open-addressing table of
+/// codes over those rows. Copying a codebook — which every update does to
+/// stage its working copy — is therefore two contiguous copies, not one
+/// allocation per entry.
 class Codebook {
  public:
   /// Creates a codebook for `num_subjects` subjects (may be 0 and grown via
   /// AddSubject).
-  explicit Codebook(size_t num_subjects = 0) : num_subjects_(num_subjects) {}
+  explicit Codebook(size_t num_subjects = 0)
+      : num_subjects_(num_subjects),
+        row_words_(BitVector::WordsFor(num_subjects)) {}
+
+  Codebook(const Codebook&) = default;
+  Codebook& operator=(const Codebook&) = default;
+  /// A moved-from codebook is empty, like a moved-from vector.
+  Codebook(Codebook&& other) noexcept { *this = std::move(other); }
+  Codebook& operator=(Codebook&& other) noexcept;
 
   size_t num_subjects() const { return num_subjects_; }
   /// Number of entries, including any duplicates left by subject removal.
-  size_t size() const { return entries_.size(); }
+  size_t size() const { return num_entries_; }
 
   /// Returns the code for `acl`, adding an entry if it is new. `acl` must
-  /// have exactly num_subjects() bits.
+  /// have exactly num_subjects() bits. Among duplicate entries (left by
+  /// subject removal) the lowest code wins.
   AccessCodeId Intern(const BitVector& acl);
 
-  /// Looks up `acl` without interning; kInvalidAccessCode if absent.
+  /// Looks up `acl` without interning; kInvalidAccessCode if absent (or
+  /// of the wrong width). Same first-occurrence rule as Intern.
   AccessCodeId Find(const BitVector& acl) const;
 
-  const BitVector& Entry(AccessCodeId code) const { return entries_[code]; }
+  /// A copy of the ACL behind `code`; the all-denied ACL for an
+  /// out-of-range code, the same fail-closed rule as Accessible.
+  BitVector Entry(AccessCodeId code) const;
 
   /// True if the ACL behind `code` grants access to `subject`. This is the
   /// per-node check on the secure query hot path; it is a pure read, so any
@@ -79,8 +97,8 @@ class Codebook {
   /// this check runs against values decoded straight from disk pages, so
   /// it must stay total in release builds.
   bool Accessible(AccessCodeId code, SubjectId subject) const {
-    if (code >= entries_.size() || subject >= num_subjects_) return false;
-    return entries_[code].GetUnchecked(subject);
+    if (code >= num_entries_ || subject >= num_subjects_) return false;
+    return (Row(code)[subject >> 6] >> (subject & 63)) & 1ULL;
   }
 
   /// Appends a new subject column to every entry, initialized to
@@ -116,7 +134,7 @@ class Codebook {
   ColumnFingerprint ColumnFingerprintOf(SubjectId subject) const;
 
   /// Number of distinct entries (collapsing duplicates left by removal).
-  size_t CountDistinct() const;
+  size_t CountDistinct() const { return distinct_; }
 
   /// Produces a deduplicated copy of this codebook plus the code remapping
   /// (old id -> new id) needed to rewrite embedded references. This is the
@@ -129,22 +147,47 @@ class Codebook {
   /// Total bytes of ACL payload across entries: size() * ceil(subjects/8).
   /// This is the codebook storage figure used in Section 5.1.1.
   size_t ByteSize() const {
-    return entries_.size() * ((num_subjects_ + 7) / 8);
+    return num_entries_ * ((num_subjects_ + 7) / 8);
   }
 
   /// Exact serialization: entries in id order (duplicates included), so
   /// every persisted code stays valid after a round trip.
   std::vector<uint8_t> Serialize() const;
 
-  /// Inverse of Serialize().
+  /// Inverse of Serialize(). Rejects a header whose entry count the blob
+  /// cannot hold before allocating anything.
   static Result<Codebook> Deserialize(const std::vector<uint8_t>& data);
 
  private:
-  void RebuildIndex();
+  const uint64_t* Row(size_t code) const {
+    return rows_.data() + code * row_words_;
+  }
+  uint64_t* MutableRow(size_t code) { return rows_.data() + code * row_words_; }
 
-  size_t num_subjects_;
-  std::vector<BitVector> entries_;
-  std::unordered_map<BitVector, AccessCodeId, BitVectorHash> index_;
+  /// The index slot holding the first code whose row equals `row`, or the
+  /// empty slot where such a code belongs. Requires a non-empty index.
+  size_t Probe(const uint64_t* row) const;
+  /// Intern over a row of row_words_ words that does not alias rows_.
+  AccessCodeId InternRow(const uint64_t* row);
+  /// Changes the subject count, re-laying rows out when the row width in
+  /// words changes (bits beyond the new count must already be clear).
+  void Resize(size_t num_subjects);
+  /// Re-indexes every row in code order, so the first of each duplicate
+  /// family wins; sized for about `expected_distinct` distinct rows.
+  void RebuildIndex(size_t expected_distinct);
+
+  size_t num_subjects_ = 0;
+  size_t row_words_ = 0;  ///< BitVector::WordsFor(num_subjects_)
+  size_t num_entries_ = 0;
+  /// Entry e's ACL: words [e * row_words_, (e + 1) * row_words_), subject s
+  /// at bit s % 64 of word s / 64, padding bits clear (so equal ACLs have
+  /// equal rows).
+  std::vector<uint64_t> rows_;
+  /// Open-addressing hash set of codes (linear probing, kInvalidAccessCode
+  /// = empty slot) holding the first code of each distinct row. Power-of-
+  /// two size, at most half full.
+  std::vector<uint32_t> index_;
+  size_t distinct_ = 0;  ///< codes in index_
 };
 
 /// One visibility equivalence class of a subject batch: subjects whose

@@ -111,7 +111,7 @@ Status DolLabeling::SetRangeAccess(NodeId begin, NodeId end, SubjectId subject,
   auto map_code = [&](AccessCodeId old) {
     auto it = mapped.find(old);
     if (it != mapped.end()) return it->second;
-    BitVector acl = codebook_.Entry(old);  // copy: Intern may reallocate
+    BitVector acl = codebook_.Entry(old);
     acl.Set(subject, accessible);
     AccessCodeId neu = codebook_.Intern(acl);
     mapped.emplace(old, neu);

@@ -354,7 +354,7 @@ void SecureStore::AbortStaged() {
 }
 
 Status SecureStore::CommitStaged(uint32_t wal_type, const std::string& payload,
-                                 CacheEffect effect, CommitEvent event) {
+                                 CommitEvent event) {
   // WAL first: the record must be durable before any reader can observe the
   // update (write-ahead rule). A failed append aborts the whole update —
   // fail-closed, the committed snapshot never changed.
@@ -389,7 +389,7 @@ Status SecureStore::CommitStaged(uint32_t wal_type, const std::string& payload,
     applied_lsn_.store(lsn, std::memory_order_relaxed);
     old_epoch = epochs_.current();
     EpochManager::Epoch new_epoch = epochs_.Advance();
-    MaintainCaches(effect, *codebook_, new_epoch, old_codes);
+    MaintainCaches(&event, *codebook_, new_epoch, old_codes);
     // External caches are told about the commit while snapshot_mu_ is still
     // held: a fresh SnapshotPin also takes snapshot_mu_, so no reader can
     // pin new_epoch before every hook has finished invalidating — the
@@ -408,37 +408,59 @@ Status SecureStore::CommitStaged(uint32_t wal_type, const std::string& payload,
   return Status::OK();
 }
 
-void SecureStore::MaintainCaches(CacheEffect effect, const Codebook& cb,
+void SecureStore::MaintainCaches(CommitEvent* event, const Codebook& cb,
                                  EpochManager::Epoch new_epoch,
                                  size_t old_codebook_size) {
   std::lock_guard<std::mutex> hidden_lock(hidden_cache_mu_);
   std::lock_guard<std::mutex> column_lock(column_cache_mu_);
-  switch (effect) {
-    case CacheEffect::kDropAll:
+  // Updates other than shape changes only append codebook entries, so a
+  // cached column is extended in place, never recomputed. Readers never
+  // hold a reference into the cache (SubjectColumn hands out copies), so
+  // growing the bit vector here cannot race with a scan in flight.
+  auto extend_columns = [&] {
+    for (auto& [subject, column] : column_cache_) {
+      SECXML_DCHECK(column.size() == old_codebook_size);
+      for (size_t code = old_codebook_size; code < cb.size(); ++code) {
+        column.PushBack(
+            cb.Accessible(static_cast<AccessCodeId>(code), subject));
+      }
+      counters_.columns_patched.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  switch (event->kind) {
+    case CommitEvent::Kind::kShapeChange:
+      // Codes or subjects renumbered: recompute everything lazily.
       hidden_cache_.clear();
       column_cache_.clear();
       break;
-    case CacheEffect::kSubjectAdded:
+    case CommitEvent::Kind::kSubjectAdded:
       // A new subject column changes nothing an existing subject's column
       // or hidden intervals depend on — restamp only.
       break;
-    case CacheEffect::kPatch: {
-      // Hidden intervals are whole-document aggregates; recompute lazily.
-      hidden_cache_.clear();
-      // ACL updates only append codebook entries, so a cached column is
-      // extended in place, never recomputed. Readers never hold a reference
-      // into the cache (SubjectColumn hands out copies), so growing the
-      // bit vector here cannot race with a scan in flight.
-      for (auto& [subject, column] : column_cache_) {
-        SECXML_DCHECK(column.size() == old_codebook_size);
-        for (size_t code = old_codebook_size; code < cb.size(); ++code) {
-          column.PushBack(
-              cb.Accessible(static_cast<AccessCodeId>(code), subject));
-        }
-        counters_.columns_patched.fetch_add(1, std::memory_order_relaxed);
+    case CommitEvent::Kind::kAclPatch: {
+      // Only the updated subject's per-node accessibility changed (every
+      // remapped entry differs from its original in that subject's bit
+      // alone) and the tree did not, so every other subject's hidden
+      // intervals carry over to the new epoch.
+      hidden_cache_.erase(event->subject);
+      extend_columns();
+      const BitVector* column = CachedColumnLocked(cb, event->subject);
+      if (column != nullptr) {
+        event->fingerprint = ColumnFingerprint::Of(*column);
+      }
+      if (cb.size() > old_codebook_size) {
+        counters_.acl_patches_appending.fetch_add(1,
+                                                  std::memory_order_relaxed);
       }
       break;
     }
+    case CommitEvent::Kind::kStructural:
+      // Hidden intervals are whole-document aggregates over the tree;
+      // recompute lazily. (A vacuum appends no entries: the extension is
+      // then a no-op.)
+      hidden_cache_.clear();
+      extend_columns();
+      break;
   }
   hidden_cache_epoch_ = new_epoch;
   column_cache_epoch_ = new_epoch;
@@ -468,8 +490,11 @@ Status SecureStore::SetSubtreeAccess(NodeId root, SubjectId subject,
   PutU64(&payload, end);
   PutU32(&payload, subject);
   PutU8(&payload, accessible ? 1 : 0);
-  return CommitStaged(kWalSetRangeAccess, payload, CacheEffect::kPatch,
-                      {CommitEvent::Kind::kAclPatch, root, end, 0});
+  return CommitStaged(kWalSetRangeAccess, payload,
+                      {.kind = CommitEvent::Kind::kAclPatch,
+                       .begin = root,
+                       .end = end,
+                       .subject = subject});
 }
 
 Status SecureStore::SetRangeAccess(NodeId begin, NodeId end, SubjectId subject,
@@ -491,8 +516,11 @@ Status SecureStore::SetRangeAccessLocked(NodeId begin, NodeId end,
   PutU64(&payload, end);
   PutU32(&payload, subject);
   PutU8(&payload, accessible ? 1 : 0);
-  return CommitStaged(kWalSetRangeAccess, payload, CacheEffect::kPatch,
-                      {CommitEvent::Kind::kAclPatch, begin, end, 0});
+  return CommitStaged(kWalSetRangeAccess, payload,
+                      {.kind = CommitEvent::Kind::kAclPatch,
+                       .begin = begin,
+                       .end = end,
+                       .subject = subject});
 }
 
 Status SecureStore::SetRangeAccessStaged(NodeId begin, NodeId end,
@@ -508,7 +536,7 @@ Status SecureStore::SetRangeAccessStaged(NodeId begin, NodeId end,
   auto map_code = [&](AccessCodeId old) {
     auto it = mapped.find(old);
     if (it != mapped.end()) return it->second;
-    BitVector acl = cb.Entry(old);  // copy: Intern may reallocate
+    BitVector acl = cb.Entry(old);
     acl.Set(subject, accessible);
     AccessCodeId neu = cb.Intern(acl);
     mapped.emplace(old, neu);
@@ -581,8 +609,8 @@ Status SecureStore::DeleteSubtreeLocked(NodeId root) {
   }
   std::string payload;
   PutU64(&payload, root);
-  return CommitStaged(kWalDeleteSubtree, payload, CacheEffect::kPatch,
-                      {CommitEvent::Kind::kStructural, 0, 0, 0});
+  return CommitStaged(kWalDeleteSubtree, payload,
+                      {.kind = CommitEvent::Kind::kStructural});
 }
 
 Result<NodeId> SecureStore::InsertSubtree(
@@ -631,8 +659,8 @@ Result<NodeId> SecureStore::InsertSubtreeLocked(
   payload += EncodeFragment(fragment);
   PutBytes(&payload, fragment_labeling.Serialize());
   SECXML_RETURN_NOT_OK(
-      CommitStaged(kWalInsertSubtree, payload, CacheEffect::kPatch,
-                   {CommitEvent::Kind::kStructural, 0, 0, 0}));
+      CommitStaged(kWalInsertSubtree, payload,
+                   {.kind = CommitEvent::Kind::kStructural}));
   return landed.value();
 }
 
@@ -647,8 +675,8 @@ Result<SubjectId> SecureStore::AddSubjectLocked(bool default_access) {
   std::string payload;
   PutU8(&payload, default_access ? 1 : 0);
   SECXML_RETURN_NOT_OK(
-      CommitStaged(kWalAddSubject, payload, CacheEffect::kSubjectAdded,
-                   {CommitEvent::Kind::kSubjectAdded, 0, 0, 0}));
+      CommitStaged(kWalAddSubject, payload,
+                   {.kind = CommitEvent::Kind::kSubjectAdded}));
   return id;
 }
 
@@ -667,8 +695,8 @@ Result<SubjectId> SecureStore::AddSubjectLikeLocked(SubjectId like) {
   std::string payload;
   PutU32(&payload, like);
   SECXML_RETURN_NOT_OK(
-      CommitStaged(kWalAddSubjectLike, payload, CacheEffect::kSubjectAdded,
-                   {CommitEvent::Kind::kSubjectAdded, 0, 0, 0}));
+      CommitStaged(kWalAddSubjectLike, payload,
+                   {.kind = CommitEvent::Kind::kSubjectAdded}));
   return id.value();
 }
 
@@ -688,8 +716,8 @@ Status SecureStore::RemoveSubjectLocked(SubjectId subject) {
   PutU32(&payload, subject);
   // Remaining subjects renumber: columns and hidden intervals are keyed by
   // subject id, so everything recomputes lazily under the new epoch.
-  return CommitStaged(kWalRemoveSubject, payload, CacheEffect::kDropAll,
-                      {CommitEvent::Kind::kShapeChange, 0, 0, 0});
+  return CommitStaged(kWalRemoveSubject, payload,
+                      {.kind = CommitEvent::Kind::kShapeChange});
 }
 
 Status SecureStore::CompactCodebook() {
@@ -739,8 +767,7 @@ Status SecureStore::CompactCodebookLocked() {
   }
   *wcodebook_ = std::move(compacted);
   return CommitStaged(kWalCompactCodebook, std::string(),
-                      CacheEffect::kDropAll,
-                      {CommitEvent::Kind::kShapeChange, 0, 0, 0});
+                      {.kind = CommitEvent::Kind::kShapeChange});
 }
 
 Status SecureStore::Vacuum(const VacuumOptions& options, VacuumStats* stats) {
@@ -773,8 +800,8 @@ Status SecureStore::VacuumLocked(const VacuumOptions& options,
   std::string payload;
   PutU32(&payload, options.min_run_records);
   SECXML_RETURN_NOT_OK(
-      CommitStaged(kWalVacuum, payload, CacheEffect::kDropAll,
-                   {CommitEvent::Kind::kStructural, 0, 0, 0}));
+      CommitStaged(kWalVacuum, payload,
+                   {.kind = CommitEvent::Kind::kStructural}));
   if (stats != nullptr) {
     stats->pages_before = pages_before;
     stats->pages_after = plan.page_starts.size();
@@ -968,24 +995,31 @@ Result<std::vector<NodeInterval>> SecureStore::HiddenSubtreeIntervals(
   if (subject >= cb.num_subjects()) {
     return Status::InvalidArgument("no such subject");
   }
-  std::lock_guard<std::mutex> lock(hidden_cache_mu_);
-  const bool current = hidden_cache_epoch_ == pin.epoch();
-  if (current) {
-    auto it = hidden_cache_.find(subject);
-    if (it != hidden_cache_.end()) return it->second;
+  {
+    std::lock_guard<std::mutex> lock(hidden_cache_mu_);
+    if (hidden_cache_epoch_ == pin.epoch()) {
+      auto it = hidden_cache_.find(subject);
+      if (it != hidden_cache_.end()) return it->second;
+    }
   }
+  // Sweep unlocked: a commit's MaintainCaches takes this mutex under
+  // snapshot_mu_, so holding it across the sweep's page I/O would stall
+  // the commit, and every new SnapshotPin behind it, on a reader's reads.
   SECXML_ASSIGN_OR_RETURN(std::vector<NodeInterval> hidden,
                           ComputeHiddenSubtreeIntervals(subject, stats));
-  if (current) hidden_cache_.emplace(subject, hidden);
+  std::lock_guard<std::mutex> lock(hidden_cache_mu_);
+  // Keep the answer only if no commit moved the cache past the pinned
+  // epoch during the sweep (a racing sweep may have inserted it already).
+  if (hidden_cache_epoch_ == pin.epoch()) {
+    hidden_cache_.emplace(subject, hidden);
+  }
   return hidden;
 }
 
 Result<std::vector<NodeInterval>> SecureStore::ComputeHiddenSubtreeIntervals(
     SubjectId subject, ExecStats* stats) {
   // The subject's column answers the inner per-code test with one bit
-  // load. SubjectColumn() takes column_cache_mu_ underneath our caller's
-  // hidden_cache_mu_ — the fixed hidden->column order also used by
-  // MaintainCaches.
+  // load.
   SECXML_ASSIGN_OR_RETURN(const BitVector column, SubjectColumn(subject));
   auto code_accessible = [&column](uint32_t code) {
     return code < column.size() && column.GetUnchecked(code);
@@ -1163,6 +1197,8 @@ SecureStore::UpdateStats SecureStore::update_stats() const {
       counters_.epochs_advanced.load(std::memory_order_relaxed);
   s.columns_patched =
       counters_.columns_patched.load(std::memory_order_relaxed);
+  s.acl_patches_appending =
+      counters_.acl_patches_appending.load(std::memory_order_relaxed);
   s.checkpoints = counters_.checkpoints.load(std::memory_order_relaxed);
   return s;
 }

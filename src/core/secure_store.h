@@ -70,22 +70,27 @@ class SecureStore {
     uint64_t torn_tail = 0;         ///< 1 if the WAL dropped a torn tail
   };
 
-  /// One committed update, as seen by external epoch-keyed caches (the
-  /// cross-request ResultCache — DESIGN.md §14). Fired through AddCommitHook
-  /// for every live commit, WAL replay, and replicated apply, classifying
-  /// the update by what a cache keyed on (column fingerprint, query) must
-  /// do about it.
+  /// One committed update, classified by what it can change. The store's
+  /// own visibility caches are maintained from the kind (DESIGN.md §11),
+  /// and the same event reaches external epoch-keyed caches (the
+  /// cross-request ResultCache — DESIGN.md §14) through AddCommitHook for
+  /// every live commit, WAL replay, and replicated apply.
   struct CommitEvent {
     enum class Kind : uint8_t {
-      /// Accessibility changed over document-order range [begin, end);
-      /// entries whose answer could depend on that range are stale.
+      /// `subject`'s accessibility changed over document-order range
+      /// [begin, end). Every codebook entry the update interned differs
+      /// from the one it replaces only in that subject's bit, so no other
+      /// subject's per-node accessibility changed: only answers of the
+      /// subject's visibility class whose footprint overlaps the range
+      /// can be stale.
       kAclPatch,
       /// A subject column was appended. Existing columns' content — and
       /// therefore their fingerprints and every answer keyed on them — is
       /// unchanged; caches need do nothing.
       kSubjectAdded,
       /// Structure changed (insert/delete/vacuum): node ids renumber, so
-      /// every cached answer set is suspect.
+      /// every cached answer set is suspect. Codebook entries are only
+      /// appended (insert), never renumbered.
       kStructural,
       /// Codes or subjects renumbered (remove subject, compact codebook):
       /// column fingerprints themselves shift; flush everything.
@@ -94,6 +99,11 @@ class SecureStore {
     Kind kind = Kind::kShapeChange;
     NodeId begin = 0;  ///< kAclPatch only: affected range, document order
     NodeId end = 0;
+    SubjectId subject = 0;  ///< kAclPatch only: the updated subject
+    /// kAclPatch only: `subject`'s column fingerprint under the committed
+    /// codebook — the cache key half of the one class whose answers can
+    /// have changed (filled at commit).
+    ColumnFingerprint fingerprint{};
     EpochManager::Epoch epoch = 0;  ///< the epoch this commit published
   };
 
@@ -123,6 +133,10 @@ class SecureStore {
     /// existing readers of UpdateStats still build.
     uint64_t views_patched = 0;
     uint64_t columns_patched = 0;   ///< cached codebook columns extended
+    /// ACL patches that appended codebook entries. Every column grows, so
+    /// every column fingerprint — every class-keyed cache entry — turns
+    /// over; the other ACL patches change no fingerprint (DESIGN.md §14).
+    uint64_t acl_patches_appending = 0;
     uint64_t checkpoints = 0;
   };
 
@@ -264,7 +278,8 @@ class SecureStore {
   // aborts the whole update and leaves the committed snapshot untouched.
   // Cached codebook columns are maintained *incrementally* at commit: ACL
   // updates only append codebook entries, so each column is extended by the
-  // new entries' bits. Only subject removal and codebook compaction, which
+  // new entries' bits, and an ACL update drops only the updated subject's
+  // hidden intervals. Only subject removal and codebook compaction, which
   // renumber codes or subjects, drop caches for recomputation.
 
   /// Sets `subject`'s accessibility for a single node. Touches only the
@@ -351,12 +366,15 @@ class SecureStore {
   /// once, and pages whose in-memory header proves them wholly accessible
   /// and not under a hidden subtree are not loaded at all.
   ///
-  /// Results are cached per subject for the current epoch; any
-  /// accessibility or structural update moves the cache to the new epoch
-  /// (dropping entries the update could have changed), so repeated
-  /// view-semantics queries by one subject pay the sweep once per epoch.
-  /// Safe for concurrent callers; a pinned caller at an older epoch
-  /// computes from its snapshot without polluting the cache.
+  /// Results are cached per subject for the current epoch; every commit
+  /// moves the cache to the new epoch, dropping only the entries the
+  /// update could have changed (an ACL patch: the updated subject's; a
+  /// structural update: all), so repeated view-semantics queries by one
+  /// subject pay the sweep once per change to its visibility. Safe for
+  /// concurrent callers. The sweep runs without holding the cache mutex,
+  /// and its result is kept only if no commit moved the cache past the
+  /// caller's epoch meanwhile; a pinned caller at an older epoch computes
+  /// from its snapshot without polluting the cache.
   ///
   /// With a non-null `stats`, a cache miss's sweep counts its work there
   /// (nodes_scanned per probed slot, codes_checked per ACCESS probe,
@@ -409,18 +427,6 @@ class SecureStore {
   UpdateStats update_stats() const;
 
  private:
-  /// How a committed update affects the epoch-stamped visibility caches.
-  enum class CacheEffect {
-    /// Pages and/or codebook entries changed; extend cached columns by the
-    /// appended entries, drop hidden intervals.
-    kPatch,
-    /// A subject column was appended; existing subjects' columns and
-    /// hidden intervals all stay valid — restamp only.
-    kSubjectAdded,
-    /// Codes or subjects renumbered; everything recomputes lazily.
-    kDropAll,
-  };
-
   SecureStore(std::unique_ptr<NokStore> nok, Codebook codebook);
 
   /// The calling thread's pinned epoch for this store, or 0 when unpinned.
@@ -433,16 +439,19 @@ class SecureStore {
   void AbortStaged();
   /// Seals an update: appends its WAL record (unless replaying), publishes
   /// the staged NokStore state and codebook, advances the epoch, maintains
-  /// the visibility caches per `effect`, fires the registered commit hooks
-  /// with `event` (kind/range filled by the caller; epoch filled here), and
-  /// retires the superseded codebook into the epoch manager.
+  /// the visibility caches per `event.kind`, fires the registered commit
+  /// hooks with `event` (kind, range and subject filled by the caller;
+  /// fingerprint and epoch filled here), and retires the superseded
+  /// codebook into the epoch manager.
   Status CommitStaged(uint32_t wal_type, const std::string& payload,
-                      CacheEffect effect, CommitEvent event);
+                      CommitEvent event);
 
-  /// Cache maintenance at commit; caller holds snapshot_mu_.
-  /// `old_codebook_size` is the entry count before the update (cached
-  /// columns are extended from there — ACL updates only append entries).
-  void MaintainCaches(CacheEffect effect, const Codebook& codebook,
+  /// Cache maintenance at commit, derived from `event->kind`; caller holds
+  /// snapshot_mu_. `old_codebook_size` is the entry count before the
+  /// update (cached columns are extended from there — updates other than
+  /// kShapeChange only append entries). Fills a kAclPatch event's
+  /// fingerprint from the (extended or newly cached) subject column.
+  void MaintainCaches(CommitEvent* event, const Codebook& codebook,
                       EpochManager::Epoch new_epoch, size_t old_codebook_size);
 
   // Update bodies running under update_mu_ (shared by the public mutators
@@ -518,11 +527,11 @@ class SecureStore {
   std::atomic<uint64_t> applied_lsn_{0};
 
   // Epoch-stamped visibility caches. Each cache's stamp names the epoch its
-  // entries were computed (or extended) for; a lookup only hits when the
-  // caller's epoch equals the stamp, so a column computed for one epoch is
-  // never served at another. Lock order: hidden before column
-  // (MaintainCaches and the hidden-miss path, which reads the subject's
-  // column while holding the hidden mutex).
+  // entries were computed (or carried over) for; a lookup only hits when
+  // the caller's epoch equals the stamp, so an entry computed for one epoch
+  // is never served at another unless a commit proved it unchanged. Lock
+  // order: hidden before column (MaintainCaches, DropVisibilityCaches).
+  // Neither mutex is held across page I/O.
   std::mutex hidden_cache_mu_;
   EpochManager::Epoch hidden_cache_epoch_ = 1;
   std::unordered_map<SubjectId, std::vector<NodeInterval>> hidden_cache_;
@@ -535,6 +544,7 @@ class SecureStore {
     std::atomic<uint64_t> updates_replayed{0};
     std::atomic<uint64_t> epochs_advanced{0};
     std::atomic<uint64_t> columns_patched{0};
+    std::atomic<uint64_t> acl_patches_appending{0};
     std::atomic<uint64_t> checkpoints{0};
   };
   Counters counters_;

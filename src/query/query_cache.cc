@@ -114,7 +114,9 @@ void AttachResultCacheInvalidation(SecureStore* store,
   store->AddCommitHook([cache](const SecureStore::CommitEvent& ev) {
     switch (ev.kind) {
       case SecureStore::CommitEvent::Kind::kAclPatch:
-        cache->InvalidateAclRange(ev.begin, ev.end, ev.epoch);
+        // Only the updated subject's class can have changed answers.
+        cache->InvalidateAclRange(ev.fingerprint.hi, ev.fingerprint.lo,
+                                  ev.begin, ev.end, ev.epoch);
         break;
       case SecureStore::CommitEvent::Kind::kSubjectAdded:
         // Existing columns (and therefore fingerprints and answers) are

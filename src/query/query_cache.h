@@ -83,9 +83,10 @@ void QueryFootprint(SecureStore* store, const PreparedQuery& pq,
                     AccessSemantics semantics, uint64_t* begin, uint64_t* end,
                     bool* acl_independent);
 
-/// Subscribes `cache` to `store`'s commits: ACL patches invalidate by
-/// range, subject additions are no-ops (existing columns and answers are
-/// untouched), structural and shape changes flush. The hook fires inside
+/// Subscribes `cache` to `store`'s commits: ACL patches invalidate the
+/// updated subject's class by range, subject additions are no-ops
+/// (existing columns and answers are untouched), structural and shape
+/// changes flush. The hook fires inside
 /// the store's snapshot-publication critical section (see AddCommitHook),
 /// which is what makes a served hit provably fresh; `cache` must outlive
 /// `store`.

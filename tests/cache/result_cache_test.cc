@@ -26,7 +26,11 @@ class Blob : public CacheableResult {
   int tag_;
 };
 
-ResultKey Key(const std::string& q, uint64_t hi = 1, uint64_t lo = 2) {
+// The class fingerprint Key() uses unless told otherwise.
+constexpr uint64_t kHi = 1;
+constexpr uint64_t kLo = 2;
+
+ResultKey Key(const std::string& q, uint64_t hi = kHi, uint64_t lo = kLo) {
   ResultKey k;
   k.column_hi = hi;
   k.column_lo = lo;
@@ -101,7 +105,7 @@ TEST(ResultCacheTest, RangeInvalidationIsFootprintScoped) {
   ASSERT_TRUE(cache.Publish(miss_key, MakeEntry(1, 100, 200)));
   ASSERT_TRUE(cache.Publish(indep_key, MakeEntry(1, 0, 0, true)));
 
-  cache.InvalidateAclRange(15, 55, 2);
+  cache.InvalidateAclRange(kHi, kLo, 15, 55, 2);
 
   // Overlapping footprint erased; disjoint and acl-independent survive.
   EXPECT_EQ(cache.Get(hit_key, 2).outcome,
@@ -114,6 +118,57 @@ TEST(ResultCacheTest, RangeInvalidationIsFootprintScoped) {
   EXPECT_EQ(s.entries, 2u);
 }
 
+TEST(ResultCacheTest, RangeInvalidationIsClassScoped) {
+  ResultCache cache;
+  // Same query and footprint, three classes: the updated one (kHi, kLo)
+  // and two others, one differing in each fingerprint half.
+  ResultKey updated = Key("q");
+  ResultKey other_hi = Key("q", kHi + 1, kLo);
+  ResultKey other_lo = Key("q", kHi, kLo + 1);
+  ResultKey updated_disjoint = Key("elsewhere");
+  for (const ResultKey& k : {updated, other_hi, other_lo, updated_disjoint}) {
+    ASSERT_EQ(cache.Get(k, 1).outcome, ResultCache::ProbeOutcome::kMissLead);
+  }
+  ASSERT_TRUE(cache.Publish(updated, MakeEntry(1, 10, 20)));
+  ASSERT_TRUE(cache.Publish(other_hi, MakeEntry(1, 10, 20)));
+  ASSERT_TRUE(cache.Publish(other_lo, MakeEntry(1, 10, 20)));
+  ASSERT_TRUE(cache.Publish(updated_disjoint, MakeEntry(1, 100, 200)));
+
+  cache.InvalidateAclRange(kHi, kLo, 15, 55, 2);
+
+  // Only the named class's overlapping entry goes.
+  EXPECT_EQ(cache.Get(updated, 2).outcome,
+            ResultCache::ProbeOutcome::kMissLead);
+  cache.Abandon(updated);
+  EXPECT_EQ(cache.Get(other_hi, 2).outcome, ResultCache::ProbeOutcome::kHit);
+  EXPECT_EQ(cache.Get(other_lo, 2).outcome, ResultCache::ProbeOutcome::kHit);
+  EXPECT_EQ(cache.Get(updated_disjoint, 2).outcome,
+            ResultCache::ProbeOutcome::kHit);
+  auto s = cache.stats();
+  EXPECT_EQ(s.invalidated, 1u);
+  EXPECT_EQ(s.entries, 3u);
+}
+
+TEST(ResultCacheTest, LatePublishRejectedOnlyForTheInvalidatedClass) {
+  ResultCache cache;
+  ResultKey same = Key("racy");
+  ResultKey other = Key("racy", kHi + 7, kLo);
+  ASSERT_EQ(cache.Get(same, 5).outcome, ResultCache::ProbeOutcome::kMissLead);
+  ASSERT_EQ(cache.Get(other, 5).outcome,
+            ResultCache::ProbeOutcome::kMissLead);
+  // Both evaluations are in flight when a commit changes class (kHi, kLo)
+  // over both footprints.
+  cache.InvalidateAclRange(kHi, kLo, 0, 100, 7);
+  // The same class's answer may be stale: rejected.
+  EXPECT_FALSE(cache.Publish(same, MakeEntry(5, 10, 20)));
+  // Another class's visibility did not change: admitted.
+  EXPECT_TRUE(cache.Publish(other, MakeEntry(5, 10, 20)));
+  auto s = cache.stats();
+  EXPECT_EQ(s.rejected_inserts, 1u);
+  EXPECT_EQ(s.entries, 1u);
+  EXPECT_EQ(cache.Get(other, 7).outcome, ResultCache::ProbeOutcome::kHit);
+}
+
 TEST(ResultCacheTest, InvalidationSparesEntriesAtOrAfterCommitEpoch) {
   ResultCache cache;
   ResultKey k = Key("q");
@@ -121,9 +176,9 @@ TEST(ResultCacheTest, InvalidationSparesEntriesAtOrAfterCommitEpoch) {
   ASSERT_TRUE(cache.Publish(k, MakeEntry(5, 0, 100)));
   // The commit at epoch 5 is what the entry was computed against — an
   // invalidation for that same commit must not erase it.
-  cache.InvalidateAclRange(0, 100, 5);
+  cache.InvalidateAclRange(kHi, kLo, 0, 100, 5);
   EXPECT_EQ(cache.Get(k, 5).outcome, ResultCache::ProbeOutcome::kHit);
-  cache.InvalidateAclRange(0, 100, 6);
+  cache.InvalidateAclRange(kHi, kLo, 0, 100, 6);
   EXPECT_EQ(cache.Get(k, 6).outcome, ResultCache::ProbeOutcome::kMissLead);
   cache.Abandon(k);
 }
@@ -155,7 +210,7 @@ TEST(ResultCacheTest, LatePublishRejectedByRacingInvalidation) {
   ResultKey k = Key("racy");
   ASSERT_EQ(cache.Get(k, 5).outcome, ResultCache::ProbeOutcome::kMissLead);
   // The evaluation is in flight when a commit invalidates its footprint.
-  cache.InvalidateAclRange(0, 100, 7);
+  cache.InvalidateAclRange(kHi, kLo, 0, 100, 7);
   EXPECT_FALSE(cache.Publish(k, MakeEntry(5, 10, 20)));
   EXPECT_EQ(cache.stats().rejected_inserts, 1u);
   EXPECT_EQ(cache.stats().entries, 0u);
@@ -187,7 +242,7 @@ TEST(ResultCacheTest, EventRingOverflowRaisesFloor) {
   // becomes the floor, so publishes from before it can no longer be checked
   // and are rejected outright — fail closed, never serve maybe-stale.
   for (uint64_t e = 1; e <= 257; ++e) {
-    cache.InvalidateAclRange(1000 * e, 1000 * e + 1, e);
+    cache.InvalidateAclRange(kHi, kLo, 1000 * e, 1000 * e + 1, e);
   }
   ResultKey k = Key("ancient");
   ASSERT_EQ(cache.Get(k, 300).outcome, ResultCache::ProbeOutcome::kMissLead);

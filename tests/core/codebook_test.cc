@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
+#include "common/rng.h"
+
 namespace secxml {
 namespace {
 
@@ -253,6 +258,163 @@ TEST(CodebookTest, GroupSubjectsByColumnFillsFingerprints) {
   // Distinct classes carry distinct fingerprints.
   EXPECT_NE(classes[0].fingerprint, classes[1].fingerprint);
   EXPECT_NE(classes[1].fingerprint, classes[2].fingerprint);
+}
+
+// The codebook the golden encoding below was serialized from: 70 subjects
+// (rows span two words; the last byte is partial), five entries, then a
+// subject added, one removed from the first word (every later bit shifts
+// across the word boundary), and one copied from the second word.
+Codebook GoldenCodebook() {
+  Codebook cb(70);
+  for (int k = 0; k < 5; ++k) {
+    BitVector acl(70);
+    for (size_t s = 0; s < 70; ++s) {
+      acl.Set(s, (s * 7 + k * 13) % 5 < 2 || s == static_cast<size_t>(69 - k));
+    }
+    cb.Intern(acl);
+  }
+  cb.AddSubject(true);
+  EXPECT_TRUE(cb.RemoveSubject(3).ok());
+  EXPECT_TRUE(cb.AddSubjectLike(64).ok());
+  return cb;
+}
+
+TEST(CodebookTest, SerializeMatchesGoldenEncoding) {
+  // Produced by the per-entry BitVector codebook that preceded the flat
+  // rows: checkpoints written by it must reopen, and checkpoints written
+  // now must be byte-identical to what it would have written.
+  const std::vector<uint8_t> golden = {
+      0x42, 0x44, 0x43, 0x53, 0x47, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00,
+      0x91, 0x52, 0x4a, 0x29, 0xa5, 0x94, 0x52, 0x4a, 0x79, 0x2a, 0xa5, 0x94,
+      0x52, 0x4a, 0x29, 0xa5, 0x94, 0x3a, 0x55, 0x4a, 0x29, 0xa5, 0x94, 0x52,
+      0x4a, 0x29, 0x65, 0xa2, 0x94, 0x52, 0x4a, 0x29, 0xa5, 0x94, 0x52, 0x2a,
+      0x4c, 0x29, 0xa5, 0x94, 0x52, 0x4a, 0x29, 0xa5, 0x75};
+  Codebook cb = GoldenCodebook();
+  EXPECT_EQ(cb.Serialize(), golden);
+  auto back = Codebook::Deserialize(golden);
+  ASSERT_TRUE(back.ok()) << back.status();
+  EXPECT_EQ(back->num_subjects(), 71u);
+  ASSERT_EQ(back->size(), cb.size());
+  for (AccessCodeId c = 0; c < cb.size(); ++c) {
+    EXPECT_EQ(back->Entry(c), cb.Entry(c)) << "code " << c;
+    EXPECT_EQ(back->Find(cb.Entry(c)), c);
+  }
+  EXPECT_EQ(back->Serialize(), golden);
+}
+
+TEST(CodebookTest, SubjectChurnAcrossAWordBoundaryKeepsEveryBit) {
+  // A per-entry model beside the flat rows: 63 subjects grow to 66 (rows
+  // widen from one word to two) and shrink back, removing subjects from
+  // both words; every bit, column and lookup must agree after each step.
+  Rng rng(64);
+  Codebook cb(63);
+  std::vector<BitVector> model;
+  for (int i = 0; i < 300; ++i) {
+    BitVector acl(63);
+    for (size_t s = 0; s < 63; ++s) acl.Set(s, rng.Bernoulli(0.5));
+    if (cb.Intern(acl) == model.size()) model.push_back(acl);
+  }
+  auto check = [&](const char* when) {
+    ASSERT_EQ(cb.size(), model.size()) << when;
+    ASSERT_EQ(cb.num_subjects(), model[0].size()) << when;
+    for (AccessCodeId c = 0; c < model.size(); ++c) {
+      ASSERT_EQ(cb.Entry(c), model[c]) << when << " code " << c;
+    }
+    for (SubjectId s = 0; s < cb.num_subjects(); ++s) {
+      BitVector column = cb.Column(s);
+      for (AccessCodeId c = 0; c < model.size(); ++c) {
+        ASSERT_EQ(column.Get(c), model[c].Get(s)) << when;
+        ASSERT_EQ(cb.Accessible(c, s), model[c].Get(s)) << when;
+      }
+    }
+    // The first of each duplicate family answers lookups.
+    for (AccessCodeId c = 0; c < model.size(); ++c) {
+      AccessCodeId first = c;
+      for (AccessCodeId d = 0; d < c; ++d) {
+        if (model[d] == model[c]) {
+          first = d;
+          break;
+        }
+      }
+      ASSERT_EQ(cb.Find(model[c]), first) << when << " code " << c;
+    }
+  };
+  check("initial");
+  cb.AddSubject(true);  // 64: fills the first word
+  for (BitVector& acl : model) acl.PushBack(true);
+  check("64 subjects");
+  ASSERT_TRUE(cb.AddSubjectLike(5).ok());  // 65: the first bit of word two
+  for (BitVector& acl : model) acl.PushBack(acl.Get(5));
+  check("65 subjects");
+  cb.AddSubject(false);  // 66
+  for (BitVector& acl : model) acl.PushBack(false);
+  check("66 subjects");
+  for (SubjectId gone : {SubjectId{64}, SubjectId{0}, SubjectId{40}}) {
+    ASSERT_TRUE(cb.RemoveSubject(gone).ok());
+    for (BitVector& acl : model) acl.Erase(gone);
+    check("after removal");
+  }
+  EXPECT_EQ(cb.num_subjects(), 63u);
+}
+
+TEST(CodebookTest, DuplicatesLeftByRemovalKeepFirstOccurrence) {
+  Codebook cb(3);
+  AccessCodeId a = cb.Intern(Bits("110"));
+  cb.Intern(Bits("010"));
+  AccessCodeId c = cb.Intern(Bits("011"));
+  cb.Intern(Bits("111"));
+  ASSERT_TRUE(cb.RemoveSubject(0).ok());  // a == b == "10", c == d == "11"
+  EXPECT_EQ(cb.Find(Bits("10")), a);
+  EXPECT_EQ(cb.Intern(Bits("10")), a);
+  EXPECT_EQ(cb.Find(Bits("11")), c);
+  EXPECT_EQ(cb.Intern(Bits("11")), c);
+  EXPECT_EQ(cb.size(), 4u);  // interning a duplicate appends nothing
+  EXPECT_EQ(cb.CountDistinct(), 2u);
+  // Re-indexing (a subject added) and copying keep the same winners.
+  cb.AddSubject(false);
+  EXPECT_EQ(cb.Find(Bits("100")), a);
+  Codebook copy = cb;
+  EXPECT_EQ(copy.Intern(Bits("100")), a);
+  EXPECT_EQ(copy.Find(Bits("110")), c);
+}
+
+TEST(CodebookTest, CopyThatInternsLeavesTheOriginalUnchanged) {
+  // An update stages on a copy of the committed codebook; interning into
+  // the copy must never show through to readers of the original.
+  Codebook original(5);
+  for (const char* e : {"10110", "01011", "11111"}) original.Intern(Bits(e));
+  const std::vector<uint8_t> before = original.Serialize();
+  Codebook staged = original;
+  for (uint32_t v = 0; v < 32; ++v) {
+    BitVector acl(5);
+    for (int i = 0; i < 5; ++i) acl.Set(i, (v >> i) & 1);
+    staged.Intern(acl);  // grows the copy's rows and index
+  }
+  EXPECT_EQ(staged.size(), 32u);
+  EXPECT_EQ(original.size(), 3u);
+  EXPECT_EQ(original.Serialize(), before);
+  EXPECT_EQ(original.Find(Bits("00000")), kInvalidAccessCode);
+  EXPECT_EQ(original.Find(Bits("01011")), 1u);
+  EXPECT_FALSE(original.Accessible(3, 0));  // code 3 exists only in the copy
+  EXPECT_EQ(original.Column(0).size(), 3u);
+}
+
+TEST(CodebookTest, DeserializeRejectsAnEntryCountTheBlobCannotHold) {
+  // Header: magic, 256 subjects (32-byte entries), ~4 billion entries —
+  // then one entry's worth of bytes. Allocating for the claimed count
+  // first would need ~128 GiB; the count must be checked before that.
+  std::vector<uint8_t> blob(12 + 32, 0);
+  const uint32_t header[3] = {0x53434442u, 256, 0xfffffff0u};
+  std::memcpy(blob.data(), header, sizeof(header));
+  auto r = Codebook::Deserialize(blob);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
+  // One entry fits exactly.
+  const uint32_t one = 1;
+  std::memcpy(blob.data() + 8, &one, sizeof(one));
+  auto ok = Codebook::Deserialize(blob);
+  ASSERT_TRUE(ok.ok()) << ok.status();
+  EXPECT_EQ(ok->size(), 1u);
 }
 
 TEST(CodebookTest, ManyDistinctEntries) {

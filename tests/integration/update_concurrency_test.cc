@@ -10,10 +10,14 @@
 //  * No leaked pins or epochs once everyone joins: active_pins() == 0,
 //    pins == unpins, every retired snapshot reclaimed, no buffer-pool pin
 //    left behind.
+//  * A commit never waits on a reader's page I/O: a cold hidden-interval
+//    sweep over a slow device runs outside the cache mutex a commit takes,
+//    and its answer is its pinned epoch's.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -284,6 +288,108 @@ TEST(UpdateConcurrencyTest, MixedUpdateStormKeepsEveryAnswerConsistent) {
   EXPECT_EQ(es.pins, es.unpins);
   EXPECT_EQ(es.retired, es.reclaimed);
   EXPECT_EQ(store->nok()->buffer_pool()->num_pinned(), 0u);
+}
+
+// Hidden intervals straight from the definition: every inaccessible node
+// not already under a hidden subtree hides its whole subtree; adjacent
+// subtrees merge, as in the store's sweep.
+std::vector<NodeInterval> HiddenOracle(const Document& doc,
+                                       const DenseAccessMap& map,
+                                       SubjectId subject) {
+  std::vector<NodeInterval> hidden;
+  NodeId blocked_end = 0;
+  for (NodeId n = 0; n < doc.NumNodes(); ++n) {
+    if (n < blocked_end || map.Accessible(subject, n)) continue;
+    blocked_end = doc.SubtreeEnd(n);
+    if (!hidden.empty() && hidden.back().end == n) {
+      hidden.back().end = blocked_end;
+    } else {
+      hidden.push_back({n, blocked_end});
+    }
+  }
+  return hidden;
+}
+
+TEST(UpdateConcurrencyTest, CommitDoesNotWaitForAColdHiddenSweep) {
+  using Clock = std::chrono::steady_clock;
+  constexpr auto kReadLatency = std::chrono::milliseconds(3);
+  XMarkOptions xopts;
+  xopts.seed = 61;
+  xopts.target_nodes = 2000;
+  Document doc;
+  ASSERT_TRUE(GenerateXMark(xopts, &doc).ok());
+  const NodeId n = static_cast<NodeId>(doc.NumNodes());
+  // Subject 0 is denied a small subtree every 29 nodes, so nearly every
+  // page is mixed and the sweep must read it.
+  DenseAccessMap map(n, kSubjects, /*default_access=*/true);
+  for (NodeId x = 7; x < n; x += 29) {
+    if (doc.SubtreeEnd(x) - x <= 8) map.SetSubtree(doc, 0, x, false);
+  }
+  MemPagedFile base;
+  LatencyPagedFile slow(&base, kReadLatency);
+  NokStoreOptions sopts;
+  sopts.max_records_per_page = 32;
+  // A pool latch is held across a physical read; with several shards the
+  // sweep holds the commit's shard only now and then.
+  sopts.buffer_pool_shards = 8;
+  std::unique_ptr<SecureStore> store;
+  ASSERT_TRUE(
+      SecureStore::Build(doc, DolLabeling::Build(map), &slow, sopts, &store)
+          .ok());
+  ASSERT_GT(store->nok()->num_pages(), 40u);
+  ASSERT_TRUE(store->nok()->buffer_pool()->EvictAll().ok());  // sweep cold
+  const std::vector<NodeInterval> before = HiddenOracle(doc, map, 0);
+  // The writer revokes an accessible node outside every hidden subtree, so
+  // the commit changes subject 0's hidden intervals.
+  NodeId victim = 0;
+  for (NodeId x = n / 2; x < n && victim == 0; ++x) {
+    bool covered = false;
+    for (const NodeInterval& iv : before) {
+      covered |= iv.begin <= x && x < iv.end;
+    }
+    if (!covered && map.Accessible(0, x)) victim = x;
+  }
+  ASSERT_NE(victim, 0u);
+  // The commit's one page is resident: it does no device read of its own.
+  ASSERT_TRUE(store->Accessible(0, victim).ok());
+  map.Set(0, victim, false);
+  const std::vector<NodeInterval> after = HiddenOracle(doc, map, 0);
+  ASSERT_NE(before, after);
+
+  const auto delay_at_start = slow.total_delay();
+  std::atomic<bool> sweeping{false};
+  Clock::time_point sweep_end, commit_end;
+  std::vector<NodeInterval> swept;
+  EpochManager::Epoch pinned = 0;
+  std::thread reader([&] {
+    SecureStore::SnapshotPin pin(store.get());
+    pinned = pin.epoch();
+    sweeping.store(true);
+    auto hidden = store->HiddenSubtreeIntervals(0);
+    sweep_end = Clock::now();
+    ASSERT_TRUE(hidden.ok()) << hidden.status();
+    swept = *hidden;
+  });
+  // Commit once the sweep is a few page reads in.
+  while (!sweeping.load() ||
+         slow.total_delay() - delay_at_start < 4 * kReadLatency) {
+    std::this_thread::yield();
+  }
+  Status st = store->SetNodeAccess(victim, 0, false);
+  commit_end = Clock::now();
+  reader.join();
+  ASSERT_TRUE(st.ok()) << st;
+
+  EXPECT_LT(commit_end, sweep_end)
+      << "the commit waited for the reader's sweep";
+  EXPECT_EQ(swept, before) << "the sweep must answer for its pinned epoch";
+  EXPECT_GT(store->epochs()->current(), pinned);
+  // The sweep finished after the commit moved the cache on, so it must not
+  // have been kept: the new epoch sees the revoke.
+  auto now_hidden = store->HiddenSubtreeIntervals(0);
+  ASSERT_TRUE(now_hidden.ok());
+  EXPECT_EQ(*now_hidden, after);
+  EXPECT_EQ(store->epochs()->active_pins(), 0u);
 }
 
 }  // namespace

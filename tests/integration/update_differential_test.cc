@@ -7,6 +7,9 @@
 //    Codebook::Column computed fresh from the committed codebook;
 //  * GroupSubjects (served from the same column cache) partitions exactly
 //    like GroupSubjectsByColumn over the current codebook;
+//  * every subject's served hidden intervals (carried over by an ACL patch
+//    for another subject, DESIGN.md §11) equal a fresh sweep, and after an
+//    ACL patch a non-target subject's probe sweeps nothing;
 //  * query answers out of the warm (extended) caches equal the answers
 //    after DropVisibilityCaches forces cold recomputation, under both access
 //    semantics and through both the serial and the batch evaluator.
@@ -101,8 +104,23 @@ void CheckAfterUpdate(Fixture* f, size_t num_subjects,
     EXPECT_EQ(got[k].members, want[k].members) << when << " class " << k;
   }
 
-  // 3. Answers: warm (extended caches) vs cold (recomputed), serial vs
-  //    batch, both semantics.
+  // 3. Served hidden intervals (carried over or swept at this epoch) vs a
+  //    fresh sweep of every subject.
+  std::vector<std::vector<NodeInterval>> served(num_subjects);
+  for (SubjectId s = 0; s < num_subjects; ++s) {
+    auto hidden = f->store->HiddenSubtreeIntervals(s);
+    ASSERT_TRUE(hidden.ok()) << when << ": " << hidden.status();
+    served[s] = *hidden;
+  }
+  f->store->DropVisibilityCaches();
+  for (SubjectId s = 0; s < num_subjects; ++s) {
+    auto fresh = f->store->HiddenSubtreeIntervals(s);
+    ASSERT_TRUE(fresh.ok()) << when << ": " << fresh.status();
+    EXPECT_EQ(served[s], *fresh) << when << " subject " << s;
+  }
+
+  // 4. Answers: warm (cached) vs cold (recomputed), serial vs batch, both
+  //    semantics.
   for (AccessSemantics sem :
        {AccessSemantics::kBinding, AccessSemantics::kView}) {
     for (size_t qi = 0; qi < queries.size(); ++qi) {
@@ -141,6 +159,26 @@ void CheckAfterUpdate(Fixture* f, size_t num_subjects,
             << static_cast<int>(sem) << " (cold recompute vs extended)";
       }
     }
+  }
+
+  // Leave every subject's hidden intervals cached, so the next update
+  // exercises what it carries over.
+  for (SubjectId s = 0; s < num_subjects; ++s) {
+    ASSERT_TRUE(f->store->HiddenSubtreeIntervals(s).ok()) << when;
+  }
+}
+
+// After an ACL patch for `target`, every other subject's hidden intervals
+// carry over to the new epoch: probing them is a cache hit that sweeps
+// nothing.
+void ExpectCarriedOver(SecureStore* store, size_t num_subjects,
+                       SubjectId target, const char* when) {
+  for (SubjectId s = 0; s < num_subjects; ++s) {
+    if (s == target) continue;
+    ExecStats stats;
+    auto hidden = store->HiddenSubtreeIntervals(s, &stats);
+    ASSERT_TRUE(hidden.ok()) << when << ": " << hidden.status();
+    EXPECT_EQ(stats.nodes_scanned, 0u) << when << " subject " << s;
   }
 }
 
@@ -190,6 +228,7 @@ TEST_P(UpdateDifferentialTest, EveryUpdatePatchesExactly) {
     SubjectId s = static_cast<SubjectId>(rng.Uniform(num_subjects));
     bool grant = rng.Bernoulli(0.5);
     ASSERT_TRUE(f->store->SetSubtreeAccess(root, s, grant).ok());
+    ExpectCarriedOver(f->store.get(), num_subjects, s, "subtree-acl");
     CheckAfterUpdate(f.get(), num_subjects, queries, "subtree-acl");
   }
 
@@ -197,6 +236,7 @@ TEST_P(UpdateDifferentialTest, EveryUpdatePatchesExactly) {
   ASSERT_TRUE(
       f->store->SetNodeAccess(static_cast<NodeId>(rng.Uniform(n)), 1,
                               rng.Bernoulli(0.5)).ok());
+  ExpectCarriedOver(f->store.get(), num_subjects, 1, "node-acl");
   CheckAfterUpdate(f.get(), num_subjects, queries, "node-acl");
 
   // 5: an explicit range crossing several page boundaries.
@@ -204,6 +244,7 @@ TEST_P(UpdateDifferentialTest, EveryUpdatePatchesExactly) {
     NodeId begin = static_cast<NodeId>(rng.Uniform(n / 2));
     NodeId end = begin + 150 < n ? begin + 150 : n;
     ASSERT_TRUE(f->store->SetRangeAccess(begin, end, 2, true).ok());
+    ExpectCarriedOver(f->store.get(), num_subjects, 2, "range-acl");
     CheckAfterUpdate(f.get(), num_subjects, queries, "range-acl");
   }
 
@@ -227,6 +268,9 @@ TEST_P(UpdateDifferentialTest, EveryUpdatePatchesExactly) {
                                      static_cast<SubjectId>(num_subjects - 1),
                                      true)
                   .ok());
+  ExpectCarriedOver(f->store.get(), num_subjects,
+                    static_cast<SubjectId>(num_subjects - 1),
+                    "new-subject-acl");
   CheckAfterUpdate(f.get(), num_subjects, queries, "new-subject-acl");
 
   // 9: remove the last subject (renumbering: caches drop and recompute).

@@ -315,7 +315,7 @@ TEST(EvaluateWithCachesTest, CommitsInvalidatePreciselyAndServeFresh) {
     GTEST_SKIP() << "invalidation behavior requires a live result cache";
   }
   Fixture f;
-  BuildFixture(5, /*num_subjects=*/4, /*num_profiles=*/4, &f);
+  BuildFixture(5, /*num_subjects=*/8, /*num_profiles=*/8, &f);
   CacheRig rig(f.store.get());
   QueryEvaluator eval(f.store.get());
   QueryEvaluator plain(f.store.get());
@@ -339,10 +339,12 @@ TEST(EvaluateWithCachesTest, CommitsInvalidatePreciselyAndServeFresh) {
     auto r = EvaluateWithCaches(f.store.get(), &eval, q, opts, rig.caches);
     ASSERT_TRUE(r.ok()) << r.status();
   };
-  auto probe_hits = [&]() -> bool {
-    auto r = EvaluateWithCaches(f.store.get(), &eval, q, opts, rig.caches);
+  auto probe_hits = [&](SubjectId subject = 1) -> bool {
+    EvalOptions o = opts;
+    o.subject = subject;
+    auto r = EvaluateWithCaches(f.store.get(), &eval, q, o, rig.caches);
     EXPECT_TRUE(r.ok()) << r.status();
-    auto live = plain.Evaluate(q, opts);
+    auto live = plain.Evaluate(q, o);
     EXPECT_TRUE(live.ok());
     EXPECT_EQ(r->answers, live->answers);  // hit or miss, always fresh
     return r->exec.result_cache_hits == 1;
@@ -358,14 +360,77 @@ TEST(EvaluateWithCachesTest, CommitsInvalidatePreciselyAndServeFresh) {
   EXPECT_FALSE(probe_hits());
   EXPECT_TRUE(probe_hits());
 
-  // An ACL patch *outside* the footprint leaves the entry alone.
+  // A patch of subject 1's own class *outside* the footprint leaves the
+  // entry alone. Revoking, re-granting and revoking again makes the last
+  // revoke remap only onto existing entries, so it keeps every fingerprint
+  // (an appending patch turns every key over; see below).
   if (fp_end < f.store->num_nodes()) {
-    ASSERT_TRUE(f.store
-                    ->SetRangeAccess(static_cast<NodeId>(fp_end),
-                                     f.store->num_nodes(), 0, true)
-                    .ok());
+    const NodeId outside = static_cast<NodeId>(fp_end);
+    const NodeId n = f.store->num_nodes();
+    ASSERT_TRUE(f.store->SetRangeAccess(outside, n, 1, false).ok());
+    ASSERT_TRUE(f.store->SetRangeAccess(outside, n, 1, true).ok());
+    (void)probe_hits();
+    ASSERT_TRUE(probe_hits());
+    const size_t entries = f.store->codebook().size();
+    ASSERT_TRUE(f.store->SetRangeAccess(outside, n, 1, false).ok());
+    ASSERT_EQ(f.store->codebook().size(), entries);
     EXPECT_TRUE(probe_hits());
   }
+
+  // Class scoping: an ACL patch for subject 0 can change only the answers
+  // of subject 0's class. Cache subject 0's answer beside subject 1's.
+  ASSERT_NE(f.store->SubjectColumnFingerprint(0),
+            f.store->SubjectColumnFingerprint(1));
+  (void)probe_hits(0);
+  ASSERT_TRUE(probe_hits(0));
+  ASSERT_TRUE(probe_hits(1));
+  // A node inside the footprint where flipping subject 0's access needs
+  // an ACL the codebook lacks.
+  NodeId x = kInvalidNode;
+  bool had_access = false;
+  {
+    const Codebook& cb = f.store->codebook();
+    for (NodeId n = static_cast<NodeId>(fp_begin); n < fp_end; ++n) {
+      auto code = f.store->nok()->AccessCode(n);
+      ASSERT_TRUE(code.ok()) << code.status();
+      BitVector flipped = cb.Entry(*code);
+      flipped.Set(0, !cb.Accessible(*code, 0));
+      if (cb.Find(flipped) == kInvalidAccessCode) {
+        x = n;
+        had_access = cb.Accessible(*code, 0);
+        break;
+      }
+    }
+  }
+  ASSERT_NE(x, kInvalidNode);
+
+  // The first flip appends an entry: every column grows, so every
+  // fingerprint — subject 1's too — turns over and both classes miss.
+  const size_t entries_before = f.store->codebook().size();
+  const ColumnFingerprint fp1 = f.store->SubjectColumnFingerprint(1);
+  ASSERT_TRUE(f.store->SetRangeAccess(x, x + 1, 0, !had_access).ok());
+  ASSERT_GT(f.store->codebook().size(), entries_before);
+  EXPECT_NE(f.store->SubjectColumnFingerprint(1), fp1);
+  EXPECT_FALSE(probe_hits(1));
+  EXPECT_FALSE(probe_hits(0));
+
+  // After flipping back, every ACL a flip of x maps onto exists, so the
+  // repeated flip appends nothing and keeps every fingerprint.
+  ASSERT_TRUE(f.store->SetRangeAccess(x, x + 1, 0, had_access).ok());
+  (void)probe_hits(0);
+  (void)probe_hits(1);
+  ASSERT_TRUE(probe_hits(0));
+  ASSERT_TRUE(probe_hits(1));
+  const size_t entries_restored = f.store->codebook().size();
+  const uint64_t invalidated = rig.results.stats().invalidated;
+  ASSERT_TRUE(f.store->SetRangeAccess(x, x + 1, 0, !had_access).ok());
+  ASSERT_EQ(f.store->codebook().size(), entries_restored);
+  // Subject 1's entry survives a patch inside its footprint...
+  EXPECT_TRUE(probe_hits(1));
+  // ...while subject 0's own entry is erased and comes back fresh.
+  EXPECT_FALSE(probe_hits(0));
+  EXPECT_TRUE(probe_hits(0));
+  EXPECT_EQ(rig.results.stats().invalidated, invalidated + 1);
 
   // Adding a subject is a no-op for existing columns and answers.
   ASSERT_TRUE(f.store->AddSubject(false).ok());
