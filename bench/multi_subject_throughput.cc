@@ -19,10 +19,11 @@
 //   * after the all-roles-denied stripe is written and the store is
 //     vacuumed into visibility-clustered pages, the mixed 128-subject batch
 //     skips pages (pages_skipped > 0) while answering identically;
-//   * the shard sweep (1/2/4/8-shard ShardedStore under a ShardCoordinator,
-//     simulated device read latency) answers byte-identically to the single
-//     store, and at 4 shards beats the 1-shard coordinator by >= 1.5x
-//     (gated in full runs, reported in smoke).
+//   * the shard sweep (a ShardedStore cut into 1/2/4/8 candidate windows
+//     under a ShardCoordinator, simulated device read latency) answers
+//     byte-identically to the single store, and at 4 windows beats the
+//     1-window coordinator by >= 1.5x (gated in full runs, reported in
+//     smoke).
 //
 // argv: [nodes] [--smoke]. --smoke shrinks the document and rep count for
 // CI; the speedup itself is reported, not gated, in smoke mode (CI clocks
@@ -322,21 +323,21 @@ int Run(int argc, char** argv) {
               scalar_identical ? "identical to" : "DIVERGED from",
               MaskIsaName(best_isa));
 
-  // --- Shard sweep: scatter-gather serving over 1/2/4/8 shards -----------
-  // Each shard scans its owned node-range window on its own replica and
-  // buffer pool over a data file with simulated device read latency; the
-  // coordinator's per-shard scatter threads overlap those physical reads,
-  // so batch throughput scales with shard count even on one core. The
-  // total cache budget is held constant across shard counts so the sweep
-  // isolates read overlap, not aggregate pool size. Runs before the vacuum
-  // point below mutates the fixture: the replicas must mirror the single
-  // store the reference answers come from.
+  // --- Shard sweep: scatter-gather serving over 1/2/4/8 windows ----------
+  // One store over a data file with simulated device read latency, cut into
+  // N candidate windows per request; each scatter thread scans one window
+  // through the store's one buffer pool, and the threads overlap their
+  // physical reads, so batch throughput scales with window count even on
+  // one core. The pool holds 128 pages at every window count, so the sweep
+  // isolates read overlap, not pool size. Runs before the vacuum point
+  // below mutates the fixture: the store must mirror the single store the
+  // reference answers come from.
   //
   // The scan is `//*`: a tag query's candidates cluster inside one XMark
   // section (regions, people, ...) and with document-order range partitioning
-  // that lands nearly all reads on one shard; the wildcard's candidates tile
-  // the whole node space, so every shard owns an equal slice of the physical
-  // reads — the serving shape sharding exists for.
+  // that lands nearly all reads in one window; the wildcard's candidates tile
+  // the whole node space, so every window holds an equal slice of the
+  // physical reads — the serving shape the windows exist for.
   PatternTree shard_query;
   if (!ParseXPath("//*", &shard_query).ok()) return 1;
   const std::vector<SubjectId> shard_subjects =
@@ -371,7 +372,7 @@ int Run(int argc, char** argv) {
                        std::chrono::microseconds(kShardReadLatencyUs));
     ShardedStoreOptions shopts;
     shopts.num_shards = shards;
-    shopts.nok.buffer_pool_pages = std::max<size_t>(16, 128 / shards);
+    shopts.nok.buffer_pool_pages = 128 / shards;  // per window
     shopts.attach_wal = false;
     std::unique_ptr<ShardedStore> sharded;
     if (!ShardedStore::Build(f->doc, f->labeling, shopts, files.provider(),
@@ -388,9 +389,7 @@ int Run(int argc, char** argv) {
     bool identical = true;
     Timer timer;
     for (int r = -1; r < reps; ++r) {  // rep -1 = untimed warm-up
-      for (size_t s = 0; s < shards; ++s) {
-        (void)sharded->shard_store(s)->nok()->buffer_pool()->EvictAll();
-      }
+      (void)sharded->store()->nok()->buffer_pool()->EvictAll();
       timer.Reset();
       auto br = coord.EvaluateForSubjects(shard_query, shard_subjects);
       double elapsed = timer.ElapsedSeconds();

@@ -84,16 +84,6 @@ grep -rn "1ULL <<\|1ull <<\|~0ULL\|~0ull\|uint64_t mask\|mask & (1\|ClassMask = 
   | grep -v '^src/exec/mask_ops\.h:' \
   | report "raw uint64_t mask arithmetic outside src/exec/mask_ops.h (use WideClassMask / MaskKernels)"
 
-# Shard encapsulation: StoreShard is the serving layer's unit of placement
-# (replica + files + WAL + applied-LSN cursor). Only src/serve may name it —
-# any other layer holding a StoreShard could scan across shard boundaries
-# without the coordinator's document-order merge, or mutate one replica
-# without the fence/replication protocol that keeps the fleet convergent.
-grep -rn "StoreShard" \
-    src/common src/storage src/xml src/core src/nok src/baseline src/exec \
-    src/query src/workload --include='*.cc' --include='*.h' \
-  | report "StoreShard referenced outside src/serve (route through ShardedStore/ShardCoordinator)"
-
 # Cache encapsulation: the cross-request ResultCache/PlanCache (src/cache)
 # may be named only by the layers that own a traffic stream — src/query
 # (EvaluateWithCaches/BatchEvaluator) and src/serve (ShardCoordinator).

@@ -179,22 +179,32 @@ SecureStore::SnapshotPin::SnapshotPin(SecureStore* store)
   // straddle a commit; otherwise latch the latest committed snapshot under
   // snapshot_mu_, which makes (epoch, codebook, NokStore state) one
   // consistent triple even against a concurrent commit.
-  for (SnapshotPin* p = next_; p != nullptr; p = p->next_) {
-    if (p->store_ == store) {
-      epoch_ = p->epoch_;
-      codebook_ = p->codebook_;
-      store->epochs_.PinAt(epoch_);
-      nok_pin_.emplace(store->nok_.get());  // adopts the outer nok pin
-      break;
-    }
-  }
-  if (codebook_ == nullptr) {
+  SnapshotPin* outer = next_;
+  while (outer != nullptr && outer->store_ != store) outer = outer->next_;
+  if (outer != nullptr) {
+    Adopt(*outer);
+  } else {
     std::lock_guard<std::mutex> lock(store->snapshot_mu_);
     epoch_ = store->epochs_.PinCurrent();
     codebook_ = store->codebook_;
     nok_pin_.emplace(store->nok_.get());
   }
   tl_secure_pins = this;
+}
+
+SecureStore::SnapshotPin::SnapshotPin(SecureStore* store,
+                                      const SnapshotPin& adopt)
+    : store_(store), next_(tl_secure_pins) {
+  SECXML_DCHECK(adopt.store_ == store);
+  Adopt(adopt);
+  tl_secure_pins = this;
+}
+
+void SecureStore::SnapshotPin::Adopt(const SnapshotPin& outer) {
+  epoch_ = outer.epoch_;
+  codebook_ = outer.codebook_;
+  store_->epochs_.PinAt(epoch_);
+  nok_pin_.emplace(store_->nok_.get(), *outer.nok_pin_);
 }
 
 SecureStore::SnapshotPin::~SnapshotPin() {
@@ -270,7 +280,7 @@ Status SecureStore::BuildWithWal(const Document& doc,
 Status SecureStore::OpenWithWal(PagedFile* data_file, PagedFile* wal_file,
                                 const NokStoreOptions& options,
                                 std::unique_ptr<SecureStore>* out,
-                                RecoveryStats* recovery, bool replay_log) {
+                                RecoveryStats* recovery) {
   NokStoreOptions opts = options;
   opts.recover_superblock = true;
   std::unique_ptr<NokStore> nok;
@@ -293,20 +303,16 @@ Status SecureStore::OpenWithWal(PagedFile* data_file, PagedFile* wal_file,
   rs.checkpoint_lsn = checkpoint_lsn;
   rs.records_in_log = store->wal_->num_records();
   rs.torn_tail = store->wal_->stats().torn_tail;
-  if (replay_log) {
-    store->recovering_ = true;
-    Status replayed = store->wal_->Replay(
-        checkpoint_lsn, [&](const WriteAheadLog::Record& rec) {
-          Status st = store->ReplayRecord(rec);
-          if (st.ok()) ++rs.records_replayed;
-          return st;
-        });
-    store->recovering_ = false;
-    if (recovery != nullptr) *recovery = rs;
-    SECXML_RETURN_NOT_OK(replayed);
-  } else if (recovery != nullptr) {
-    *recovery = rs;
-  }
+  store->recovering_ = true;
+  Status replayed = store->wal_->Replay(
+      checkpoint_lsn, [&](const WriteAheadLog::Record& rec) {
+        Status st = store->ReplayRecord(rec);
+        if (st.ok()) ++rs.records_replayed;
+        return st;
+      });
+  store->recovering_ = false;
+  if (recovery != nullptr) *recovery = rs;
+  SECXML_RETURN_NOT_OK(replayed);
   *out = std::move(store);
   return Status::OK();
 }
@@ -920,36 +926,6 @@ Status SecureStore::Checkpoint() {
   SECXML_RETURN_NOT_OK(PersistLocked());
   if (wal_ != nullptr) SECXML_RETURN_NOT_OK(wal_->Truncate());
   counters_.checkpoints.fetch_add(1, std::memory_order_relaxed);
-  return Status::OK();
-}
-
-Status SecureStore::TruncateWal() {
-  std::lock_guard<std::mutex> lock(update_mu_);
-  if (wal_ == nullptr) return Status::OK();
-  SECXML_RETURN_NOT_OK(wal_->Truncate());
-  // Completing the truncate phase is what makes a (two-phase) checkpoint a
-  // checkpoint, so it is counted here, symmetric with Checkpoint().
-  counters_.checkpoints.fetch_add(1, std::memory_order_relaxed);
-  return Status::OK();
-}
-
-// --- Replication hooks (sharded serving) ---------------------------------
-
-Status SecureStore::ApplyReplicated(const WriteAheadLog::Record& record) {
-  // ReplayRecord takes update_mu_ itself and runs the same *Locked update
-  // bodies a live mutator runs; with recovering_ set, CommitStaged adopts
-  // the record's LSN instead of appending to this replica's own log. The
-  // coordinator serializes every mutator across the replica set, so the
-  // flag cannot race another writer on this store.
-  recovering_ = true;
-  Status st = ReplayRecord(record);
-  recovering_ = false;
-  return st;
-}
-
-Status SecureStore::AlignWalLsn(uint64_t lsn) {
-  std::lock_guard<std::mutex> lock(update_mu_);
-  if (wal_ != nullptr) wal_->set_next_lsn(lsn);
   return Status::OK();
 }
 

@@ -74,7 +74,7 @@ class SecureStore {
   /// own visibility caches are maintained from the kind (DESIGN.md §11),
   /// and the same event reaches external epoch-keyed caches (the
   /// cross-request ResultCache — DESIGN.md §14) through AddCommitHook for
-  /// every live commit, WAL replay, and replicated apply.
+  /// every live commit and WAL replay.
   struct CommitEvent {
     enum class Kind : uint8_t {
       /// `subject`'s accessibility changed over document-order range
@@ -151,6 +151,12 @@ class SecureStore {
   class SnapshotPin {
    public:
     explicit SnapshotPin(SecureStore* store);
+    /// Pins `adopt`'s snapshot (epoch, codebook, NokStore state) on the
+    /// calling thread, which may differ from the thread that took `adopt`:
+    /// every scatter worker of one request adopts the coordinator's pin, so
+    /// all of the request's windows read one epoch while a writer commits.
+    /// `adopt` must be a pin on `store` and must outlive this one.
+    SnapshotPin(SecureStore* store, const SnapshotPin& adopt);
     ~SnapshotPin();
     SnapshotPin(const SnapshotPin&) = delete;
     SnapshotPin& operator=(const SnapshotPin&) = delete;
@@ -159,6 +165,10 @@ class SecureStore {
 
    private:
     friend class SecureStore;
+    /// Shares `outer`'s snapshot: pins its epoch again and adopts its
+    /// codebook and NokStore state.
+    void Adopt(const SnapshotPin& outer);
+
     SecureStore* store_;
     EpochManager::Epoch epoch_ = 0;
     std::shared_ptr<const Codebook> codebook_;
@@ -191,16 +201,10 @@ class SecureStore {
   /// it), then replays every WAL record past the checkpoint's LSN. Updates
   /// that never reached the log (crash before the append synced) are rolled
   /// back by omission — exactly the fail-closed contract of the update path.
-  /// With `replay_log` false the checkpoint is restored and the WAL opened
-  /// (records scanned into memory) but nothing is replayed — the sharded
-  /// coordinator recovers this way on every shard, then replays the merged,
-  /// LSN-ordered record stream of ALL shard logs through ApplyReplicated so
-  /// cross-shard update ordering survives recovery (DESIGN.md §13).
   static Status OpenWithWal(PagedFile* data_file, PagedFile* wal_file,
                             const NokStoreOptions& options,
                             std::unique_ptr<SecureStore>* out,
-                            RecoveryStats* recovery = nullptr,
-                            bool replay_log = true);
+                            RecoveryStats* recovery = nullptr);
 
   /// Persists the current snapshot: NoK superblock plus a checkpoint blob
   /// (codebook + the LSN of the last applied update) in the superblock's
@@ -211,29 +215,6 @@ class SecureStore {
   /// redundant with the durable checkpoint. A crash between the two steps is
   /// safe — replay skips records at or below the checkpoint LSN.
   Status Checkpoint();
-
-  /// Truncates the attached WAL without persisting first — the second phase
-  /// of the sharded coordinator's two-phase checkpoint (every shard is
-  /// Persist()ed before ANY shard's log drops a record, because a record
-  /// owned by this shard's log may still be the only durable copy of an
-  /// update the other replicas need — DESIGN.md §13). No-op without a WAL.
-  /// Single-store callers should use Checkpoint() instead.
-  Status TruncateWal();
-
-  // --- Replication hooks (sharded serving, src/serve) -------------------
-
-  /// Re-executes one WAL record that another replica of this store logged
-  /// (the owning shard appends, every peer applies). The record is not
-  /// re-logged here; the update publishes a new snapshot and advances the
-  /// epoch exactly as a live update does, and applied_lsn() lands on
-  /// record.lsn. Replicas stay byte-identical because every update body is
-  /// deterministic. The caller must serialize this with all other mutators
-  /// across the replica set (the coordinator's update fence does).
-  Status ApplyReplicated(const WriteAheadLog::Record& record);
-
-  /// Raises the attached WAL's next LSN to `lsn` so the coordinator can
-  /// keep one global LSN order across many shard logs. No-op without a WAL.
-  Status AlignWalLsn(uint64_t lsn);
 
   SecureStore(const SecureStore&) = delete;
   SecureStore& operator=(const SecureStore&) = delete;

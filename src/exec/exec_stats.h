@@ -57,10 +57,10 @@ struct ExecStats {
 
   // Sharded scatter-gather counters (zero on single-store paths).
 
-  /// Shards this evaluation scattered matching work to (the coordinator's
-  /// fan-out width, counted once per scatter — DESIGN.md §13).
+  /// Candidate windows this evaluation scattered matching work to (the
+  /// coordinator's fan-out width, counted once per scatter — DESIGN.md §13).
   uint64_t shards_scattered = 0;
-  /// Document-order comparisons spent merging per-shard match streams back
+  /// Document-order comparisons spent merging per-window match streams back
   /// into one global stream (each merged match verifies its root against
   /// the running maximum, so the merge proves the order it claims).
   uint64_t merge_comparisons = 0;

@@ -163,6 +163,12 @@ NokStore::ReadPin::ReadPin(const NokStore* store)
   tl_pins = this;
 }
 
+NokStore::ReadPin::ReadPin(const NokStore* store, const ReadPin& adopt)
+    : store_(store), state_(adopt.state_), next_(tl_pins) {
+  assert(adopt.store_ == store);
+  tl_pins = this;
+}
+
 NokStore::ReadPin::~ReadPin() {
   assert(tl_pins == this);
   tl_pins = next_;

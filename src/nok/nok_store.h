@@ -160,6 +160,11 @@ class NokStore {
   class ReadPin {
    public:
     explicit ReadPin(const NokStore* store);
+    /// Pins `adopt`'s snapshot on the calling thread, which may differ from
+    /// the thread that took `adopt` (a scatter worker adopting its
+    /// coordinator's pin). `adopt` must be a pin on `store` and must outlive
+    /// this one.
+    ReadPin(const NokStore* store, const ReadPin& adopt);
     ~ReadPin();
     ReadPin(const ReadPin&) = delete;
     ReadPin& operator=(const ReadPin&) = delete;

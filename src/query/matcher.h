@@ -52,8 +52,8 @@ class NokMatcher {
     /// fragment candidates with candidate_begin <= root < candidate_end are
     /// matched. The walk below an admitted candidate is NOT restricted (a
     /// match may span past candidate_end), so a coordinator that tiles
-    /// [0, num_nodes) across shards reproduces the unrestricted match
-    /// stream exactly, each match found by exactly one shard.
+    /// [0, num_nodes) with windows reproduces the unrestricted match
+    /// stream exactly, each match found by exactly one window.
     NodeId candidate_begin = 0;
     NodeId candidate_end = kInvalidNode;
   };

@@ -86,7 +86,7 @@ struct BatchResult {
 /// outcomes: failed count with first_error in batch order, the exec rollup
 /// over successful outcomes, and latency mean/p95/max. A failed outcome
 /// never poisons the batch — whether a whole query failed (QueryDriver) or
-/// one shard of its scatter did (ShardCoordinator), the other outcomes keep
+/// one window of its scatter did (ShardCoordinator), the other outcomes keep
 /// their results and stats. wall_micros and io are the caller's to fill
 /// (they depend on how the batch ran). No-op on an empty batch.
 void AggregateBatchStats(BatchResult* batch);

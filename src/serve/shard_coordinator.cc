@@ -37,19 +37,21 @@ EvalOptions ShardCoordinator::MakeEvalOptions(SubjectId subject) const {
   return o;
 }
 
-void ShardCoordinator::RunOnShards(const std::function<void(size_t)>& fn) {
-  const size_t n = store_->num_shards();
-  const size_t workers = std::clamp<size_t>(scatter_width(), 1, n);
-  if (workers == 1) {
-    for (size_t s = 0; s < n; ++s) fn(s);
+void ShardCoordinator::RunTasks(size_t tasks,
+                                const std::function<void(size_t)>& fn) {
+  // Tasks are handed out through an atomic cursor, so long and short scans
+  // balance across workers.
+  const size_t workers = std::clamp<size_t>(scatter_width(), 1, tasks);
+  if (workers <= 1) {
+    for (size_t t = 0; t < tasks; ++t) fn(t);
     return;
   }
   std::atomic<size_t> next{0};
   auto worker = [&]() {
     for (;;) {
-      size_t s = next.fetch_add(1, std::memory_order_relaxed);
-      if (s >= n) break;
-      fn(s);
+      size_t t = next.fetch_add(1, std::memory_order_relaxed);
+      if (t >= tasks) break;
+      fn(t);
     }
   };
   std::vector<std::thread> threads;
@@ -58,18 +60,17 @@ void ShardCoordinator::RunOnShards(const std::function<void(size_t)>& fn) {
   for (std::thread& t : threads) t.join();
 }
 
-ShardCoordinator::ShardScan ShardCoordinator::ScanShard(
-    size_t s, const PreparedQuery& pq, SubjectId subject) {
-  ShardScan out;
+ShardCoordinator::WindowScan ShardCoordinator::ScanWindow(
+    const SecureStore::SnapshotPin& pin, const ShardRange& range,
+    const PreparedQuery& pq, SubjectId subject) {
+  WindowScan out;
   Timer timer;
-  SecureStore* store = store_->shard_store(s);
-  const ShardRange& range = store_->shard_map().range(s);
+  SecureStore* store = store_->store();
   const size_t nf = pq.query.fragments.size();
   out.matches.resize(nf);
 
-  // The worker's own pin; the coordinator's fence guarantees it lands on
-  // the same epoch as every other shard's.
-  SecureStore::SnapshotPin pin(store);
+  // The worker adopts the request's pin, so every window reads its epoch.
+  SecureStore::SnapshotPin worker_pin(store, pin);
   out.scan.epoch_pins = 1;
   if (!range.empty()) {
     NokMatcher::Options mo;
@@ -96,7 +97,7 @@ ShardCoordinator::ShardScan ShardCoordinator::ScanShard(
 }
 
 Status ShardCoordinator::GatherMatches(
-    const std::vector<ShardScan>& scans,
+    const std::vector<WindowScan>& scans,
     std::vector<std::vector<FragmentMatch>>* matches, ExecStats* merge,
     size_t* fragment_matches) {
   merge->shards_scattered += scans.size();
@@ -105,14 +106,14 @@ Status ShardCoordinator::GatherMatches(
     std::vector<FragmentMatch>& out = (*matches)[f];
     bool first = true;
     NodeId last_root = 0;
-    for (const ShardScan& scan : scans) {
+    for (const WindowScan& scan : scans) {
       for (const FragmentMatch& m : scan.matches[f]) {
-        // Shard ranges ascend in document order, so concatenation is the
-        // merge; each comparison proves it.
+        // Windows ascend in document order, so concatenation is the merge;
+        // each comparison proves it.
         ++merge->merge_comparisons;
         if (!first && m.root < last_root) {
           return Status::Corruption(
-              "per-shard match streams out of document order");
+              "per-window match streams out of document order");
         }
         last_root = m.root;
         first = false;
@@ -124,14 +125,18 @@ Status ShardCoordinator::GatherMatches(
   return Status::OK();
 }
 
-Result<EvalResult> ShardCoordinator::EvaluatePinned(const PreparedQuery& pq,
-                                                    SubjectId subject) {
+Result<EvalResult> ShardCoordinator::EvaluatePinned(
+    const SecureStore::SnapshotPin& pin, const PreparedQuery& pq,
+    SubjectId subject) {
   const size_t nf = pq.query.fragments.size();
-  const size_t n = store_->num_shards();
+  const ShardMap windows = store_->Windows();
+  const size_t n = windows.num_shards();
 
-  std::vector<ShardScan> scans(n);
-  RunOnShards([&](size_t s) { scans[s] = ScanShard(s, pq, subject); });
-  for (const ShardScan& scan : scans) {
+  std::vector<WindowScan> scans(n);
+  RunTasks(n, [&](size_t w) {
+    scans[w] = ScanWindow(pin, windows.range(w), pq, subject);
+  });
+  for (const WindowScan& scan : scans) {
     SECXML_RETURN_NOT_OK(scan.status);
   }
 
@@ -141,20 +146,19 @@ Result<EvalResult> ShardCoordinator::EvaluatePinned(const PreparedQuery& pq,
   SECXML_RETURN_NOT_OK(GatherMatches(scans, &matches, &merge_stats,
                                      &result.fragment_matches));
 
-  for (const ShardScan& scan : scans) {
+  for (const WindowScan& scan : scans) {
     result.operators.push_back({"scan", scan.scan});
   }
   result.operators.push_back({"merge", merge_stats});
 
   // Visibility filtering runs ONCE on the merged streams (the verdict is
   // per match root, so filtering after the merge equals filtering each
-  // stream), with the hidden intervals computed on — and cached by — a
-  // single replica rather than every shard.
+  // stream).
   if (options_.semantics == AccessSemantics::kView) {
     ExecStats vis_stats;
     SECXML_ASSIGN_OR_RETURN(
         std::vector<NodeInterval> hidden,
-        store_->shard_store(0)->HiddenSubtreeIntervals(subject, &vis_stats));
+        store_->store()->HiddenSubtreeIntervals(subject, &vis_stats));
     FilterMatchesVisible(hidden, &matches, &vis_stats);
     result.operators.push_back({"visibility", vis_stats});
   }
@@ -167,7 +171,7 @@ Result<EvalResult> ShardCoordinator::EvaluatePinned(const PreparedQuery& pq,
 }
 
 Result<EvalResult> ShardCoordinator::EvaluateCachedPinned(
-    const ShardedStore::Pin& pin, const PatternTree& pattern,
+    const SecureStore::SnapshotPin& pin, const PatternTree& pattern,
     SubjectId subject) {
   cache::ResultCache* rcache = options_.caches.ResultsEnabled();
   QueryPlanCache* pcache = options_.caches.plans;
@@ -177,15 +181,14 @@ Result<EvalResult> ShardCoordinator::EvaluateCachedPinned(
   }
   SECXML_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedQuery> plan,
                           ResolvePlan(pattern, normalized, pcache));
-  if (rcache == nullptr) return EvaluatePinned(*plan, subject);
+  if (rcache == nullptr) return EvaluatePinned(pin, *plan, subject);
 
-  // The probe runs at the coordinator against shard 0 (the conventional
-  // witness: replicas share one codebook state and publish epochs in
-  // lockstep). A hit skips the entire scatter.
-  SecureStore* store0 = store_->shard_store(0);
+  // The probe runs at the coordinator under the request's pin; a hit skips
+  // the entire scatter.
+  SecureStore* store = store_->store();
   ColumnFingerprint fp;  // {0,0} when the answer is subject-independent
   if (options_.semantics != AccessSemantics::kNone) {
-    fp = store0->SubjectColumnFingerprint(subject);
+    fp = store->SubjectColumnFingerprint(subject);
   }
   cache::ResultKey key = MakeResultKey(normalized, fp, options_.semantics,
                                        options_.ordered_siblings);
@@ -194,13 +197,13 @@ Result<EvalResult> ShardCoordinator::EvaluateCachedPinned(
     return MakeCachedResult(probe.payload, probe.waits);
   }
   FlightGuard flight(rcache, key);
-  Result<EvalResult> r = EvaluatePinned(*plan, subject);
+  Result<EvalResult> r = EvaluatePinned(pin, *plan, subject);
   if (!r.ok()) return r;  // the guard abandons the flight
 
   cache::ResultCache::Entry entry;
   entry.payload = MakeCachePayload(*r);
   entry.epoch = pin.epoch();
-  QueryFootprint(store0, *plan, options_.semantics, &entry.begin, &entry.end,
+  QueryFootprint(store, *plan, options_.semantics, &entry.begin, &entry.end,
                  &entry.acl_independent);
   const bool admitted = flight.Publish(std::move(entry));
 
@@ -215,7 +218,7 @@ Result<EvalResult> ShardCoordinator::EvaluateCachedPinned(
 
 Result<EvalResult> ShardCoordinator::Evaluate(const PatternTree& pattern,
                                               SubjectId subject) {
-  ShardedStore::Pin pin(store_);
+  SecureStore::SnapshotPin pin(store_->store());
   return EvaluateCachedPinned(pin, pattern, subject);
 }
 
@@ -224,13 +227,14 @@ BatchResult ShardCoordinator::Run(const std::vector<QueryJob>& jobs) {
   batch.outcomes.resize(jobs.size());
   if (jobs.empty()) return batch;
 
-  ShardedStore::Pin pin(store_);
+  SecureStore* store = store_->store();
+  SecureStore::SnapshotPin pin(store);
   IoStatsSnapshot before = store_->io_snapshot();
-  const size_t n = store_->num_shards();
+  const ShardMap windows = store_->Windows();
+  const size_t n = windows.num_shards();
 
   cache::ResultCache* rcache = options_.caches.ResultsEnabled();
   QueryPlanCache* pcache = options_.caches.plans;
-  SecureStore* store0 = store_->shard_store(0);
 
   // Plans are resolved once per job up front (through the plan cache when
   // attached); a job that fails to prepare fails alone and its scatter
@@ -252,7 +256,7 @@ BatchResult ShardCoordinator::Run(const std::vector<QueryJob>& jobs) {
     }
   }
 
-  // Coordinator-level cache probes before ANY scatter: a served job's shard
+  // Coordinator-level cache probes before ANY scatter: a served job's window
   // tasks never run at all. Non-blocking — a job whose key is in flight on
   // another coordinator scatters normally rather than waiting with work
   // queued behind it.
@@ -266,7 +270,7 @@ BatchResult ShardCoordinator::Run(const std::vector<QueryJob>& jobs) {
       Timer probe_timer;
       ColumnFingerprint fp;
       if (options_.semantics != AccessSemantics::kNone) {
-        fp = store0->SubjectColumnFingerprint(jobs[j].subject);
+        fp = store->SubjectColumnFingerprint(jobs[j].subject);
       }
       keys[j] = MakeResultKey(normalized[j], fp, options_.semantics,
                               options_.ordered_siblings);
@@ -283,35 +287,20 @@ BatchResult ShardCoordinator::Run(const std::vector<QueryJob>& jobs) {
     }
   }
 
-  // Every (job, shard) scan is one pool task, handed out through an atomic
-  // cursor exactly like QueryDriver's worker pool, so long and short scans
-  // balance across workers and one job's shards overlap.
-  std::vector<std::vector<ShardScan>> scans(jobs.size());
+  // Every (job, window) scan is one pool task, so one job's windows
+  // overlap.
+  std::vector<std::vector<WindowScan>> scans(jobs.size());
   for (auto& per_job : scans) per_job.resize(n);
-  const size_t tasks = jobs.size() * n;
-  std::atomic<size_t> next{0};
-  auto worker = [&]() {
-    for (;;) {
-      size_t t = next.fetch_add(1, std::memory_order_relaxed);
-      if (t >= tasks) break;
-      const size_t j = t / n;
-      const size_t s = t % n;
-      if (!prepared[j] || served[j]) continue;
-      scans[j][s] = ScanShard(s, *plans[j], jobs[j].subject);
-    }
-  };
-  const size_t workers = std::clamp<size_t>(scatter_width(), 1, tasks);
   Timer wall;
-  if (workers == 1) {
-    worker();
-  } else {
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (size_t t = 0; t < workers; ++t) threads.emplace_back(worker);
-    for (std::thread& t : threads) t.join();
-  }
+  RunTasks(jobs.size() * n, [&](size_t t) {
+    const size_t j = t / n;
+    const size_t w = t % n;
+    if (!prepared[j] || served[j]) return;
+    scans[j][w] = ScanWindow(pin, windows.range(w), *plans[j],
+                             jobs[j].subject);
+  });
 
-  // Gather + join per job on the coordinator thread. One shard's failure
+  // Gather + join per job on the coordinator thread. One window's failure
   // (e.g. an injected kIOError) fails only the jobs whose scatter touched
   // it; everything else completes and aggregates normally.
   for (size_t j = 0; j < jobs.size(); ++j) {
@@ -319,7 +308,7 @@ BatchResult ShardCoordinator::Run(const std::vector<QueryJob>& jobs) {
     if (!prepared[j] || served[j]) continue;
     int64_t scatter_micros = 0;
     Status failed = Status::OK();
-    for (const ShardScan& scan : scans[j]) {
+    for (const WindowScan& scan : scans[j]) {
       scatter_micros = std::max(scatter_micros, scan.micros);
       if (failed.ok() && !scan.status.ok()) failed = scan.status;
     }
@@ -340,15 +329,14 @@ BatchResult ShardCoordinator::Run(const std::vector<QueryJob>& jobs) {
       out.latency_micros = scatter_micros + finalize.ElapsedMicros();
       continue;
     }
-    for (const ShardScan& scan : scans[j]) {
+    for (const WindowScan& scan : scans[j]) {
       result.operators.push_back({"scan", scan.scan});
     }
     result.operators.push_back({"merge", merge_stats});
     if (options_.semantics == AccessSemantics::kView) {
       ExecStats vis_stats;
       Result<std::vector<NodeInterval>> hidden =
-          store_->shard_store(0)->HiddenSubtreeIntervals(jobs[j].subject,
-                                                         &vis_stats);
+          store->HiddenSubtreeIntervals(jobs[j].subject, &vis_stats);
       if (!hidden.ok()) {
         out.status = hidden.status();
         out.latency_micros = scatter_micros + finalize.ElapsedMicros();
@@ -365,7 +353,7 @@ BatchResult ShardCoordinator::Run(const std::vector<QueryJob>& jobs) {
       cache::ResultCache::Entry entry;
       entry.payload = MakeCachePayload(result);
       entry.epoch = pin.epoch();
-      QueryFootprint(store0, *plans[j], options_.semantics, &entry.begin,
+      QueryFootprint(store, *plans[j], options_.semantics, &entry.begin,
                      &entry.end, &entry.acl_independent);
       const bool admitted = flight_of[j] != nullptr
                                 ? flight_of[j]->Publish(std::move(entry))
@@ -377,7 +365,7 @@ BatchResult ShardCoordinator::Run(const std::vector<QueryJob>& jobs) {
       result.exec = RollUp(result.operators);
     }
     out.result = std::move(result);
-    // Latency is the job's critical path: its slowest shard scan plus the
+    // Latency is the job's critical path: its slowest window scan plus the
     // coordinator's merge+join (scans of one job run concurrently).
     out.latency_micros = scatter_micros + finalize.ElapsedMicros();
   }
@@ -393,12 +381,13 @@ Result<SubjectBatchResult> ShardCoordinator::EvaluateForSubjects(
   if (subjects.empty()) {
     return Status::InvalidArgument("batch evaluation needs subjects");
   }
-  ShardedStore::Pin pin(store_);
+  SecureStore* store = store_->store();
+  SecureStore::SnapshotPin pin(store);
   SubjectBatchResult batch;
   const EvalOptions options = MakeEvalOptions(0);
 
   // Without access control every subject sees the whole document: one
-  // class, answered by the (sharded) per-subject path — the same collapse
+  // class, answered by the (scattered) per-subject path — the same collapse
   // BatchEvaluator performs.
   if (options_.semantics == AccessSemantics::kNone) {
     SECXML_ASSIGN_OR_RETURN(EvalResult r,
@@ -414,11 +403,9 @@ Result<SubjectBatchResult> ShardCoordinator::EvaluateForSubjects(
     return batch;
   }
 
-  // Class routing runs ONCE at the coordinator: every replica holds the
-  // same codebook state, so shard 0 groups for the whole fleet.
+  // Class routing runs ONCE at the coordinator, under the request's pin.
   std::vector<SubjectId> subject_list(subjects.begin(), subjects.end());
-  std::vector<SubjectClass> groups =
-      store_->shard_store(0)->GroupSubjects(subject_list);
+  std::vector<SubjectClass> groups = store->GroupSubjects(subject_list);
   std::unordered_map<SubjectId, size_t> class_index;
   for (size_t k = 0; k < groups.size(); ++k) {
     for (SubjectId s : groups[k].members) class_index.emplace(s, k);
@@ -440,7 +427,7 @@ Result<SubjectBatchResult> ShardCoordinator::EvaluateForSubjects(
 
   // Per-class probes at the coordinator, exactly BatchEvaluator's protocol:
   // non-blocking (an in-flight class scatters live), served classes never
-  // reach any shard.
+  // reach any window.
   std::vector<cache::ResultKey> keys(groups.size());
   std::deque<FlightGuard> flights;
   std::vector<FlightGuard*> flight_of(groups.size(), nullptr);
@@ -475,9 +462,12 @@ Result<SubjectBatchResult> ShardCoordinator::EvaluateForSubjects(
   uint64_t fp_begin = 0, fp_end = 0;
   bool acl_independent = false;
   if (rcache != nullptr && !miss.empty()) {
-    QueryFootprint(store_->shard_store(0), pq, options_.semantics, &fp_begin,
-                   &fp_end, &acl_independent);
+    QueryFootprint(store, pq, options_.semantics, &fp_begin, &fp_end,
+                   &acl_independent);
   }
+
+  const ShardMap windows = store_->Windows();
+  const size_t n = windows.num_shards();
 
   const size_t chunk_cap =
       options.batch_chunk_classes == 0
@@ -495,21 +485,19 @@ Result<SubjectBatchResult> ShardCoordinator::EvaluateForSubjects(
       chunk_subjects += groups[miss[j]].members.size();
     }
 
-    // Scatter the chunk's one structural scan: each shard's multi-subject
-    // cursor walks only its owned candidate window.
-    struct BatchShardScan {
+    // Scatter the chunk's one structural scan: each window's multi-subject
+    // cursor walks only its candidate window.
+    struct BatchWindowScan {
       Status status = Status::OK();
       std::vector<std::vector<BatchFragmentMatch>> matches;
       ExecStats scan;
     };
-    const size_t n = store_->num_shards();
-    std::vector<BatchShardScan> scans(n);
-    RunOnShards([&](size_t s) {
-      BatchShardScan& out = scans[s];
+    std::vector<BatchWindowScan> scans(n);
+    RunTasks(n, [&](size_t w) {
+      BatchWindowScan& out = scans[w];
       out.matches.resize(nf);
-      SecureStore* store = store_->shard_store(s);
-      const ShardRange& range = store_->shard_map().range(s);
-      SecureStore::SnapshotPin shard_pin(store);
+      const ShardRange& range = windows.range(w);
+      SecureStore::SnapshotPin worker_pin(store, pin);
       out.scan.epoch_pins = 1;
       if (range.empty()) return;
       MultiSubjectMatcher::Options mo;
@@ -528,11 +516,11 @@ Result<SubjectBatchResult> ShardCoordinator::EvaluateForSubjects(
       }
       out.scan += matcher.exec_stats();
     });
-    for (const BatchShardScan& scan : scans) {
+    for (const BatchWindowScan& scan : scans) {
       SECXML_RETURN_NOT_OK(scan.status);
     }
 
-    // Document-order merge of the per-shard batch streams (concatenation,
+    // Document-order merge of the per-window batch streams (concatenation,
     // verified root by root — same contract as GatherMatches).
     std::vector<std::vector<BatchFragmentMatch>> bmatches(nf);
     ExecStats merge_stats;
@@ -540,12 +528,12 @@ Result<SubjectBatchResult> ShardCoordinator::EvaluateForSubjects(
     for (size_t f = 0; f < nf; ++f) {
       bool first = true;
       NodeId last_root = 0;
-      for (const BatchShardScan& scan : scans) {
+      for (const BatchWindowScan& scan : scans) {
         for (const BatchFragmentMatch& m : scan.matches[f]) {
           ++merge_stats.merge_comparisons;
           if (!first && m.root < last_root) {
             return Status::Corruption(
-                "per-shard batch match streams out of document order");
+                "per-window batch match streams out of document order");
           }
           last_root = m.root;
           first = false;
@@ -555,7 +543,7 @@ Result<SubjectBatchResult> ShardCoordinator::EvaluateForSubjects(
     }
 
     // Per-class finalize at the coordinator, mirroring BatchEvaluator: the
-    // chunk's shared scatter (per-shard scans + the merge) is attributed to
+    // chunk's shared scatter (per-window scans + the merge) is attributed to
     // its first class, every class runs the shared FinalizeClassEval.
     for (size_t j = chunk_begin; j < chunk_end; ++j) {
       const size_t k = miss[j];
@@ -570,7 +558,7 @@ Result<SubjectBatchResult> ShardCoordinator::EvaluateForSubjects(
       }
 
       if (j == chunk_begin) {
-        for (const BatchShardScan& scan : scans) {
+        for (const BatchWindowScan& scan : scans) {
           r.operators.push_back({"scan", scan.scan});
         }
         r.operators.push_back({"merge", merge_stats});
@@ -578,14 +566,13 @@ Result<SubjectBatchResult> ShardCoordinator::EvaluateForSubjects(
         r.operators.push_back({"scan", ExecStats()});
       }
 
-      SECXML_RETURN_NOT_OK(FinalizeClassEval(store_->shard_store(0), pq,
-                                             options,
+      SECXML_RETURN_NOT_OK(FinalizeClassEval(store, pq, options,
                                              groups[k].representative(),
                                              &matches, &r));
       if (j == chunk_begin) {
         ExecStats bc = BatchCounters(chunk_subjects, width);
         // The batch's single coordinator pin, attributed to the very first
-        // chunk (the per-shard worker pins live in the scan operators).
+        // chunk (the adopted worker pins live in the scan operators).
         if (chunk_begin == 0) bc.epoch_pins = 1;
         r.operators.push_back({"batch", bc});
       }

@@ -1,368 +1,64 @@
 #include "serve/sharded_store.h"
 
-#include <algorithm>
 #include <utility>
+#include <vector>
 
 namespace secxml {
 
-// --- ShardFileSet --------------------------------------------------------
-
-ShardFileSet::ShardFileSet(size_t num_shards,
+ShardFileSet::ShardFileSet(size_t /*num_shards*/,
                            std::chrono::microseconds read_latency) {
-  data_.reserve(num_shards);
-  wal_.reserve(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) {
-    data_.push_back(std::make_unique<MemPagedFile>());
-    wal_.push_back(std::make_unique<MemPagedFile>());
-    if (read_latency.count() > 0) {
-      delayed_.push_back(std::make_unique<LatencyPagedFile>(data_.back().get(),
-                                                            read_latency));
-    }
+  if (read_latency.count() > 0) {
+    delayed_ = std::make_unique<LatencyPagedFile>(&data_, read_latency);
   }
 }
 
 ShardFileProvider ShardFileSet::provider() {
-  return [this](size_t shard) -> Result<ShardFiles> {
-    if (shard >= data_.size()) {
-      return Status::InvalidArgument("shard index past the file set");
-    }
+  return [this](size_t) -> Result<ShardFiles> {
     ShardFiles f;
-    f.data = delayed_.empty() ? static_cast<PagedFile*>(data_[shard].get())
-                              : delayed_[shard].get();
-    f.wal = wal_[shard].get();
+    f.data = delayed_ != nullptr ? static_cast<PagedFile*>(delayed_.get())
+                                 : &data_;
+    f.wal = &wal_;
     return f;
   };
 }
-
-// --- ShardedStore lifecycle ----------------------------------------------
 
 Status ShardedStore::Build(const Document& doc, const DolLabeling& labeling,
                            const ShardedStoreOptions& options,
                            const ShardFileProvider& files,
                            std::unique_ptr<ShardedStore>* out) {
   if (options.num_shards == 0) {
-    return Status::InvalidArgument("a sharded store needs at least one shard");
+    return Status::InvalidArgument("a sharded store needs at least one window");
   }
-  std::unique_ptr<ShardedStore> store(new ShardedStore(options));
-  for (size_t s = 0; s < options.num_shards; ++s) {
-    SECXML_ASSIGN_OR_RETURN(ShardFiles f, files(s));
-    std::unique_ptr<SecureStore> replica;
-    if (options.attach_wal) {
-      if (f.wal == nullptr) {
-        return Status::InvalidArgument("attach_wal needs a wal file per shard");
-      }
-      SECXML_RETURN_NOT_OK(SecureStore::BuildWithWal(
-          doc, labeling, f.data, f.wal, options.nok, &replica));
-    } else {
-      SECXML_RETURN_NOT_OK(
-          SecureStore::Build(doc, labeling, f.data, options.nok, &replica));
-    }
-    store->shards_.push_back(
-        std::make_unique<StoreShard>(s, f, std::move(replica)));
-  }
+  SECXML_ASSIGN_OR_RETURN(ShardFiles f, files(0));
+  NokStoreOptions nok = options.nok;
+  nok.buffer_pool_pages *= options.num_shards;
+  std::unique_ptr<SecureStore> store;
   if (options.attach_wal) {
-    for (const auto& sh : store->shards_) {
-      store->next_lsn_ =
-          std::max(store->next_lsn_, sh->store()->wal()->next_lsn());
+    if (f.wal == nullptr) {
+      return Status::InvalidArgument("attach_wal needs a wal file");
     }
-  }
-  store->RefreshShardMapLocked();
-  *out = std::move(store);
-  return Status::OK();
-}
-
-Status ShardedStore::Open(const ShardedStoreOptions& options,
-                          const ShardFileProvider& files,
-                          std::unique_ptr<ShardedStore>* out,
-                          RecoveryStats* recovery) {
-  if (options.num_shards == 0) {
-    return Status::InvalidArgument("a sharded store needs at least one shard");
-  }
-  if (!options.attach_wal) {
-    return Status::InvalidArgument(
-        "sharded recovery needs WALs (attach_wal)");
-  }
-  std::unique_ptr<ShardedStore> store(new ShardedStore(options));
-  for (size_t s = 0; s < options.num_shards; ++s) {
-    SECXML_ASSIGN_OR_RETURN(ShardFiles f, files(s));
-    std::unique_ptr<SecureStore> replica;
-    // Checkpoint only — replay must wait until every log is in hand, so the
-    // merged stream re-executes in global LSN order (a record in shard A's
-    // log may depend on an earlier-LSN record in shard B's log).
-    SECXML_RETURN_NOT_OK(SecureStore::OpenWithWal(f.data, f.wal, options.nok,
-                                                  &replica, nullptr,
-                                                  /*replay_log=*/false));
-    store->shards_.push_back(
-        std::make_unique<StoreShard>(s, f, std::move(replica)));
-  }
-
-  // Merge every log's surviving records into one LSN-ordered history. Each
-  // record was appended to exactly one owner's log, so LSNs are unique.
-  std::vector<WriteAheadLog::Record> records;
-  for (const auto& sh : store->shards_) {
     SECXML_RETURN_NOT_OK(
-        sh->store()->wal()->Replay(0, [&](const WriteAheadLog::Record& rec) {
-          records.push_back(rec);
-          return Status::OK();
-        }));
-  }
-  std::sort(records.begin(), records.end(),
-            [](const WriteAheadLog::Record& a, const WriteAheadLog::Record& b) {
-              return a.lsn < b.lsn;
-            });
-  RecoveryStats rs;
-  rs.records_in_logs = records.size();
-  for (size_t i = 0; i < records.size(); ++i) {
-    if (i > 0 && records[i].lsn == records[i - 1].lsn) {
-      return Status::Corruption("duplicate LSN across shard WALs");
-    }
-    // Every shard whose durable state predates the record re-executes it;
-    // shards whose checkpoint already covers it skip — this is what makes a
-    // crash anywhere inside the two-phase checkpoint recoverable.
-    for (const auto& sh : store->shards_) {
-      if (records[i].lsn <= sh->store()->applied_lsn()) continue;
-      SECXML_RETURN_NOT_OK(sh->store()->ApplyReplicated(records[i]));
-      ++rs.records_applied;
-    }
-  }
-
-  uint64_t common_lsn = store->shards_[0]->store()->applied_lsn();
-  for (const auto& sh : store->shards_) {
-    if (sh->store()->applied_lsn() != common_lsn) {
-      return Status::Corruption("shard WALs recovered to diverging LSNs");
-    }
-    store->next_lsn_ =
-        std::max(store->next_lsn_, sh->store()->wal()->next_lsn());
-  }
-  store->next_lsn_ = std::max(store->next_lsn_, common_lsn + 1);
-  rs.recovered_lsn = common_lsn;
-  if (recovery != nullptr) *recovery = rs;
-  store->RefreshShardMapLocked();
-  *out = std::move(store);
-  return Status::OK();
-}
-
-// --- Pin -----------------------------------------------------------------
-
-ShardedStore::Pin::Pin(ShardedStore* store) : fence_(store->fence_) {
-  pins_.reserve(store->shards_.size());
-  for (const auto& sh : store->shards_) {
-    pins_.push_back(std::make_unique<SecureStore::SnapshotPin>(sh->store()));
-  }
-}
-
-ShardedStore::Pin::~Pin() {
-  // SnapshotPins chain through a thread-local LIFO stack; vector destruction
-  // runs first-to-last, so unpin explicitly in reverse acquisition order.
-  while (!pins_.empty()) pins_.pop_back();
-}
-
-// --- Update replication --------------------------------------------------
-
-Status ShardedStore::Poison(const Status& cause) {
-  poisoned_ = true;
-  return Status::Corruption("sharded store poisoned (replica divergence): " +
-                            cause.message());
-}
-
-Status ShardedStore::Replicate(size_t owner,
-                               const std::function<Status(SecureStore*)>& fn) {
-  std::unique_lock<std::shared_mutex> fence(fence_);
-  if (poisoned_) {
-    return Status::Corruption("sharded store poisoned by an earlier failure");
-  }
-  SecureStore* os = shards_[owner]->store();
-  if (options_.attach_wal) {
-    // The owner logs the update at the global LSN; the record is then the
-    // single source of truth every peer re-executes.
-    SECXML_RETURN_NOT_OK(os->AlignWalLsn(next_lsn_));
-    SECXML_RETURN_NOT_OK(fn(os));
-    WriteAheadLog::Record rec;
-    bool found = false;
-    SECXML_RETURN_NOT_OK(os->wal()->Replay(
-        next_lsn_ - 1, [&](const WriteAheadLog::Record& r) {
-          if (r.lsn == next_lsn_ && !found) {
-            rec = r;
-            found = true;
-          }
-          return Status::OK();
-        }));
-    if (!found) {
-      return Poison(
-          Status::Corruption("owner WAL lost the just-appended record"));
-    }
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      if (s == owner) continue;
-      Status applied = shards_[s]->store()->ApplyReplicated(rec);
-      if (!applied.ok()) return Poison(applied);
-    }
-    next_lsn_ = rec.lsn + 1;
+        SecureStore::BuildWithWal(doc, labeling, f.data, f.wal, nok, &store));
   } else {
-    // No logs: the mutator itself is the replication vehicle (every update
-    // body is deterministic, so replicas converge byte-for-byte).
-    SECXML_RETURN_NOT_OK(fn(os));
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      if (s == owner) continue;
-      Status applied = fn(shards_[s]->store());
-      if (!applied.ok()) return Poison(applied);
-    }
+    SECXML_RETURN_NOT_OK(
+        SecureStore::Build(doc, labeling, f.data, nok, &store));
   }
-  if (options_.attach_wal) {
-    const uint64_t lsn = os->applied_lsn();
-    for (const auto& sh : shards_) {
-      if (sh->store()->applied_lsn() != lsn) {
-        return Poison(Status::Corruption("replica LSNs diverged post-commit"));
-      }
-    }
-  }
-  RefreshShardMapLocked();
+  out->reset(new ShardedStore(options.num_shards, std::move(store)));
   return Status::OK();
 }
 
-Status ShardedStore::SetRangeAccess(NodeId begin, NodeId end,
-                                    SubjectId subject, bool accessible) {
-  return Replicate(map_.ShardOfNode(begin), [&](SecureStore* s) {
-    return s->SetRangeAccess(begin, end, subject, accessible);
-  });
-}
-
-Status ShardedStore::SetSubtreeAccess(NodeId root, SubjectId subject,
-                                      bool accessible) {
-  return Replicate(map_.ShardOfNode(root), [&](SecureStore* s) {
-    return s->SetSubtreeAccess(root, subject, accessible);
-  });
-}
-
-Status ShardedStore::DeleteSubtree(NodeId root) {
-  return Replicate(map_.ShardOfNode(root), [&](SecureStore* s) {
-    return s->DeleteSubtree(root);
-  });
-}
-
-Result<NodeId> ShardedStore::InsertSubtree(
-    NodeId parent, NodeId after, const Document& fragment,
-    const DolLabeling& fragment_labeling) {
-  NodeId landed = kInvalidNode;
-  SECXML_RETURN_NOT_OK(
-      Replicate(map_.ShardOfNode(parent), [&](SecureStore* s) {
-        Result<NodeId> r =
-            s->InsertSubtree(parent, after, fragment, fragment_labeling);
-        if (!r.ok()) return r.status();
-        landed = *r;  // replicas agree; the no-WAL path overwrites equal ids
-        return Status::OK();
-      }));
-  return landed;
-}
-
-Result<SubjectId> ShardedStore::AddSubject(bool default_access) {
-  SubjectId id = 0;
-  // Codebook-wide updates have no page range; shard 0 is their owner by
-  // convention (the partitioning rule in DESIGN.md §13).
-  SECXML_RETURN_NOT_OK(Replicate(0, [&](SecureStore* s) {
-    Result<SubjectId> r = s->AddSubject(default_access);
-    if (!r.ok()) return r.status();
-    id = *r;
-    return Status::OK();
-  }));
-  return id;
-}
-
-Result<SubjectId> ShardedStore::AddSubjectLike(SubjectId like) {
-  SubjectId id = 0;
-  SECXML_RETURN_NOT_OK(Replicate(0, [&](SecureStore* s) {
-    Result<SubjectId> r = s->AddSubjectLike(like);
-    if (!r.ok()) return r.status();
-    id = *r;
-    return Status::OK();
-  }));
-  return id;
-}
-
-Status ShardedStore::RemoveSubject(SubjectId subject) {
-  return Replicate(
-      0, [&](SecureStore* s) { return s->RemoveSubject(subject); });
-}
-
-Status ShardedStore::CompactCodebook() {
-  return Replicate(0, [&](SecureStore* s) { return s->CompactCodebook(); });
-}
-
-Status ShardedStore::Vacuum(const SecureStore::VacuumOptions& options,
-                            SecureStore::VacuumStats* stats) {
-  // Per-shard checkpointing is forced off: a unilateral Persist+Truncate on
-  // the owner would drop records the peers have not persisted. The two-phase
-  // Checkpoint below covers the whole replica set instead.
-  SecureStore::VacuumOptions per_shard = options;
-  per_shard.checkpoint_after = false;
-  SECXML_RETURN_NOT_OK(Replicate(0, [&](SecureStore* s) {
-    // Only the owner reports stats (replicas produce identical ones).
-    return s->Vacuum(per_shard, stats);
-  }));
-  if (options.checkpoint_after) return Checkpoint();
-  return Status::OK();
-}
-
-// --- Durability ----------------------------------------------------------
-
-Status ShardedStore::Persist() {
-  std::unique_lock<std::shared_mutex> fence(fence_);
-  for (const auto& sh : shards_) {
-    SECXML_RETURN_NOT_OK(sh->store()->Persist());
-  }
-  return Status::OK();
-}
-
-Status ShardedStore::Checkpoint() {
-  std::unique_lock<std::shared_mutex> fence(fence_);
-  if (poisoned_) {
-    return Status::Corruption("sharded store poisoned by an earlier failure");
-  }
-  // Phase one: every shard's checkpoint blob is durable before ANY log
-  // drops a record. A crash after some Persist()s leaves shards with
-  // different checkpoint LSNs but every record still in some log — Open()'s
-  // per-shard "lsn > applied" replay guard converges them.
-  for (const auto& sh : shards_) {
-    SECXML_RETURN_NOT_OK(sh->store()->Persist());
-  }
-  // Phase two: logs truncate in any order. A crash mid-phase leaves some
-  // logs longer than needed; surviving records at or below every shard's
-  // checkpoint LSN replay as no-ops.
-  for (const auto& sh : shards_) {
-    SECXML_RETURN_NOT_OK(sh->store()->TruncateWal());
-  }
-  return Status::OK();
-}
-
-// --- Read-side helpers ---------------------------------------------------
-
-void ShardedStore::DropVisibilityCaches() {
-  for (const auto& sh : shards_) sh->store()->DropVisibilityCaches();
-}
-
-IoStatsSnapshot ShardedStore::io_snapshot() const {
-  IoStatsSnapshot sum;
-  for (const auto& sh : shards_) {
-    IoStatsSnapshot s = sh->store()->io_stats().Snapshot();
-    sum.page_reads += s.page_reads;
-    sum.page_writes += s.page_writes;
-    sum.cache_hits += s.cache_hits;
-    sum.pages_skipped += s.pages_skipped;
-  }
-  return sum;
-}
-
-void ShardedStore::RefreshShardMapLocked() {
-  NokStore* nok = shards_[0]->store()->nok();
+ShardMap ShardedStore::Windows() const {
+  // Nests inside the caller's pin when there is one, so the page directory
+  // and the node count come from one snapshot either way.
+  SecureStore::SnapshotPin pin(store_.get());
+  NokStore* nok = store_->nok();
   const std::vector<NokStore::PageInfo>& infos = nok->page_infos();
   std::vector<uint32_t> first_nodes;
   first_nodes.reserve(infos.size());
   for (const NokStore::PageInfo& info : infos) {
     first_nodes.push_back(info.first_node);
   }
-  map_ = ShardMap::Partition(first_nodes, nok->num_nodes(), shards_.size());
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s]->owned_ = map_.range(s);
-  }
+  return ShardMap::Partition(first_nodes, nok->num_nodes(), num_windows_);
 }
 
 }  // namespace secxml

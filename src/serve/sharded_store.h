@@ -4,42 +4,44 @@
 #include <chrono>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <shared_mutex>
-#include <string>
-#include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
 #include "core/secure_store.h"
-#include "serve/store_shard.h"
+#include "storage/paged_file.h"
 #include "storage/shard_map.h"
 
 namespace secxml {
 
-/// Hands out the backing files for shard `shard` (called once per shard at
-/// Build/Open). The provider keeps the files alive for the store's
-/// lifetime; ShardFileSet below is the canonical owner for tests/benches.
+/// The backing files of the store. Non-owning, matching SecureStore's file
+/// convention: the provider that hands these out (tests, benches, or a
+/// ShardFileSet) keeps them alive for the store's lifetime. `wal` is null
+/// when the store runs without a log.
+struct ShardFiles {
+  PagedFile* data = nullptr;
+  PagedFile* wal = nullptr;
+};
+
+/// Hands out the backing files. Build asks for index 0 only.
 using ShardFileProvider = std::function<Result<ShardFiles>(size_t shard)>;
 
 struct ShardedStoreOptions {
+  /// Candidate windows each request is cut into (and the default scatter
+  /// width of a ShardCoordinator).
   size_t num_shards = 4;
-  /// Per-shard NokStore settings (each shard gets its own buffer pool of
-  /// nok.buffer_pool_pages pages, its own readahead, etc.).
+  /// NokStore settings of the one store. Its buffer pool holds
+  /// num_shards × nok.buffer_pool_pages pages.
   NokStoreOptions nok;
-  /// Attach one WAL per shard. Required for Open() (crash recovery) and
-  /// for replication-through-the-log; without WALs every update is applied
-  /// to each replica directly (deterministic, so replicas still agree) and
-  /// the store is memory-only.
+  /// Attach a WAL, so the store's updates are crash-recoverable through
+  /// SecureStore::OpenWithWal.
   bool attach_wal = true;
 };
 
-/// Owns one MemPagedFile pair per shard, optionally wrapped in a
-/// LatencyPagedFile that charges device read latency per physical page read
-/// (the shard-sweep bench overlaps these delays across shards). The set
-/// must outlive the ShardedStore built on it. File naming on disk
-/// deployments is the provider's business; the convention is
-/// "<base>.shard<k>.dat" / "<base>.shard<k>.wal".
+/// Owns one MemPagedFile pair, optionally wrapped in a LatencyPagedFile that
+/// charges device read latency per physical page read (the scatter workers
+/// overlap these delays). The set must outlive the ShardedStore built on
+/// it. Kept for the benchmark's call; `num_shards` is ignored, since one
+/// store needs one file pair.
 class ShardFileSet {
  public:
   explicit ShardFileSet(size_t num_shards,
@@ -49,161 +51,52 @@ class ShardFileSet {
   /// A provider serving this set's files. Valid while the set lives.
   ShardFileProvider provider();
 
-  /// The raw (undecorated) data file of shard `shard`, for tests that wrap
-  /// or corrupt it.
-  MemPagedFile* data(size_t shard) { return data_[shard].get(); }
-  MemPagedFile* wal(size_t shard) { return wal_[shard].get(); }
-
  private:
-  std::vector<std::unique_ptr<MemPagedFile>> data_;
-  std::vector<std::unique_ptr<MemPagedFile>> wal_;
-  std::vector<std::unique_ptr<LatencyPagedFile>> delayed_;
+  MemPagedFile data_;
+  MemPagedFile wal_;
+  std::unique_ptr<LatencyPagedFile> delayed_;
 };
 
-/// N full SecureStore replicas under one update fence, presenting the
-/// single-store update/durability surface while the ShardCoordinator
-/// (shard_coordinator.h) partitions query work across them (DESIGN.md §13).
-///
-/// Update protocol — one global LSN order across N logs:
-///  1. every mutator takes the write side of the fence (no query scatter in
-///     flight, no pin straddles the publish);
-///  2. the owning shard — ShardMap::ShardOfNode of the update's target for
-///     page-touching updates, shard 0 for codebook-wide/structural-global
-///     ones — has its WAL aligned to the global next LSN and executes the
-///     mutator normally (WAL-first, fail-closed);
-///  3. the freshly appended record is read back and re-executed on every
-///     peer via SecureStore::ApplyReplicated, so each replica publishes an
-///     identical snapshot at the same LSN. A peer that fails to apply
-///     poisons the store (every later call fails Corruption) rather than
-///     serving divergent replicas.
-/// Readers (queries) take the fence shared, so the epoch publish is atomic
-/// across all shards: a query observes either no shard or every shard past
-/// an update.
-///
-/// Durability — two-phase checkpoint: Checkpoint() Persist()s EVERY shard
-/// before truncating ANY log, because a record lives only in its owner's
-/// log but all N replicas need it until their own checkpoints cover it.
-/// Open() restores each shard's checkpoint without replaying, merges all
-/// shard logs into one LSN-ordered stream, and applies each record to every
-/// shard whose applied LSN it exceeds — all shards land on one LSN (the
-/// recovery consistency witness) no matter where the crash fell.
+/// One SecureStore whose node space the ShardCoordinator (shard_coordinator.h)
+/// cuts into num_shards() candidate windows on each request (DESIGN.md §13).
+/// What is partitioned is work, not data: every window's scan reads the one
+/// store through its one buffer pool, so a match whose subtree spans past
+/// the window's end comes out whole. Updates, checkpoints and recovery go
+/// through store() directly.
 class ShardedStore {
  public:
-  /// Builds `num_shards` identical replicas of the document (each sealed
-  /// with its own initial checkpoint when WALs are attached).
+  /// Builds the store from `files(0)`, with a WAL (sealed with an initial
+  /// checkpoint) when options.attach_wal is set.
   static Status Build(const Document& doc, const DolLabeling& labeling,
                       const ShardedStoreOptions& options,
                       const ShardFileProvider& files,
                       std::unique_ptr<ShardedStore>* out);
 
-  struct RecoveryStats {
-    uint64_t records_in_logs = 0;  ///< surviving records across all logs
-    uint64_t records_applied = 0;  ///< (record, shard) applications replayed
-    uint64_t recovered_lsn = 0;    ///< the common LSN all shards landed on
-  };
+  SecureStore* store() { return store_.get(); }
 
-  /// Crash-recovering open; requires attach_wal. See the class comment for
-  /// the cross-shard replay order.
-  static Status Open(const ShardedStoreOptions& options,
-                     const ShardFileProvider& files,
-                     std::unique_ptr<ShardedStore>* out,
-                     RecoveryStats* recovery = nullptr);
+  /// Candidate windows per request.
+  size_t num_shards() const { return num_windows_; }
 
-  /// Cross-shard read fence + per-shard snapshot pins for the calling
-  /// thread. While alive, no update can commit on any shard, so scatter
-  /// workers pinning individual shards from their own threads all adopt the
-  /// same logical snapshot. One Pin per query or batch (the coordinator
-  /// takes it).
-  class Pin {
-   public:
-    explicit Pin(ShardedStore* store);
-    ~Pin();
-    Pin(const Pin&) = delete;
-    Pin& operator=(const Pin&) = delete;
+  /// The one store for every index. Kept for the benchmark only, which still
+  /// iterates over shard indices.
+  SecureStore* shard_store(size_t) { return store_.get(); }
 
-    /// The pinned epoch on shard `shard`. The fence makes it equal across
-    /// shards; shard 0 is the conventional witness (cache probes validate
-    /// against it).
-    EpochManager::Epoch epoch(size_t shard = 0) const {
-      return pins_[shard]->epoch();
-    }
+  /// Cuts the calling thread's snapshot of the store (the one its
+  /// SnapshotPin holds, else the latest committed one) into num_shards()
+  /// windows tiling that snapshot's [0, num_nodes).
+  ShardMap Windows() const;
 
-   private:
-    std::shared_lock<std::shared_mutex> fence_;
-    std::vector<std::unique_ptr<SecureStore::SnapshotPin>> pins_;
-  };
-
-  size_t num_shards() const { return shards_.size(); }
-  StoreShard* shard(size_t s) { return shards_[s].get(); }
-  SecureStore* shard_store(size_t s) { return shards_[s]->store(); }
-  const ShardMap& shard_map() const { return map_; }
-
-  /// The LSN every replica has applied (equal across shards by the update
-  /// protocol; asserted after every mutator).
-  uint64_t applied_lsn() const { return shards_[0]->store()->applied_lsn(); }
-
-  NodeId num_nodes() const { return shards_[0]->store()->num_nodes(); }
-
-  // --- Updates (single-store surface, replicated across shards) ---------
-
-  Status SetNodeAccess(NodeId node, SubjectId subject, bool accessible) {
-    return SetRangeAccess(node, node + 1, subject, accessible);
+  /// The store's buffer-pool traffic.
+  IoStatsSnapshot io_snapshot() const {
+    return store_->io_stats().Snapshot();
   }
-  Status SetSubtreeAccess(NodeId root, SubjectId subject, bool accessible);
-  Status SetRangeAccess(NodeId begin, NodeId end, SubjectId subject,
-                        bool accessible);
-  Status DeleteSubtree(NodeId root);
-  Result<NodeId> InsertSubtree(NodeId parent, NodeId after,
-                               const Document& fragment,
-                               const DolLabeling& fragment_labeling);
-  Result<SubjectId> AddSubject(bool default_access);
-  Result<SubjectId> AddSubjectLike(SubjectId like);
-  Status RemoveSubject(SubjectId subject);
-  Status CompactCodebook();
-  Status Vacuum(const SecureStore::VacuumOptions& options,
-                SecureStore::VacuumStats* stats = nullptr);
-
-  /// Persists every shard's snapshot (phase one of Checkpoint, exposed so
-  /// tests can pin the two-phase crash windows).
-  Status Persist();
-  /// Two-phase checkpoint: Persist() all shards, then truncate all logs.
-  Status Checkpoint();
-
-  /// Drops every shard's visibility caches (cold-start measurement).
-  void DropVisibilityCaches();
-
-  /// Sum of every shard's buffer-pool traffic.
-  IoStatsSnapshot io_snapshot() const;
 
  private:
-  explicit ShardedStore(const ShardedStoreOptions& options)
-      : options_(options) {}
+  ShardedStore(size_t num_windows, std::unique_ptr<SecureStore> store)
+      : num_windows_(num_windows), store_(std::move(store)) {}
 
-  /// Runs one mutator under the write fence: executes `fn` on the owner
-  /// (which logs it), replicates the logged record to every peer (or, with
-  /// no logs attached, re-runs `fn` on every peer), then recomputes the
-  /// shard map. `fn` must be deterministic.
-  Status Replicate(size_t owner,
-                   const std::function<Status(SecureStore*)>& fn);
-
-  /// Marks the store permanently failed (replica divergence) and returns
-  /// a Corruption status chaining `cause`'s message.
-  Status Poison(const Status& cause);
-
-  /// Recomputes map_ and each shard's owned() range from shard 0's page
-  /// directory (all replicas are identical). Caller holds the write fence
-  /// (or is still single-threaded in Build/Open).
-  void RefreshShardMapLocked();
-
-  ShardedStoreOptions options_;
-  std::vector<std::unique_ptr<StoreShard>> shards_;
-  ShardMap map_;
-
-  /// The cross-shard update fence: mutators exclusive, query pins shared.
-  mutable std::shared_mutex fence_;
-  /// Next global LSN (meaningful only with WALs attached).
-  uint64_t next_lsn_ = 1;
-  bool poisoned_ = false;
+  size_t num_windows_;
+  std::unique_ptr<SecureStore> store_;
 };
 
 }  // namespace secxml

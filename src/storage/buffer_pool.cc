@@ -49,9 +49,7 @@ BufferPool::BufferPool(PagedFile* file, size_t capacity, size_t num_shards)
   // floor(capacity/num_shards) or one more frames, permanently.
   for (size_t i = capacity; i > 0; --i) {
     size_t idx = i - 1;
-    uint32_t home = static_cast<uint32_t>(idx % num_shards);
-    frames_[idx].home_shard = home;
-    shards_[home].free_frames.push_back(idx);
+    shards_[idx % num_shards].free_frames.push_back(idx);
   }
 }
 
@@ -82,30 +80,27 @@ size_t BufferPool::num_pinned() const {
 }
 
 void BufferPool::Unpin(size_t frame_index) {
-  Frame& f = frames_[frame_index];
-  // The home shard is fixed at construction, so it is safe to read without
-  // the latch even though the frame may be concurrently re-pinned or
-  // evicted once our pin is gone.
-  Shard& sh = shards_[f.home_shard];
-  uint32_t prev = f.pins.fetch_sub(1, std::memory_order_acq_rel);
+  // No latch: the frame stays on its shard's LRU list while mapped, and
+  // eviction skips pinned frames. The release pairs with the evictor's
+  // acquire load of the pin count, so a frame it sees unpinned has all of
+  // this holder's page accesses behind it.
+  uint32_t prev =
+      frames_[frame_index].pins.fetch_sub(1, std::memory_order_acq_rel);
   assert(prev > 0);
-  if (prev != 1) return;
-  // Last pin dropped: queue the frame for eviction. Re-check the frame's
-  // state under the latch — between the decrement and the lock another
-  // thread may have re-pinned, evicted, or already requeued it. The push is
-  // guarded by the current state, so whichever unpinner gets the latch
-  // first does the requeue and the others back off. The pin load must be
-  // acquire: a stalled unpinner can requeue on behalf of a *later* holder
-  // whose decrement it observes only through this load, and the requeue
-  // makes the frame evictable — without the acquire edge that holder's
-  // page reads would race with the evictor's read into the frame.
-  std::lock_guard<std::mutex> lock(sh.mu);
-  if (f.id != kInvalidPage && !f.in_lru &&
-      f.pins.load(std::memory_order_acquire) == 0) {
-    sh.lru.push_back(frame_index);
-    f.lru_pos = std::prev(sh.lru.end());
-    f.in_lru = true;
+  (void)prev;
+}
+
+std::optional<size_t> BufferPool::VictimLocked(const Shard& shard) const {
+  for (size_t idx : shard.lru) {
+    // Acquire pairs with the unpinner's release: the last holder's page
+    // accesses are done before the frame is reused.
+    if (frames_[idx].pins.load(std::memory_order_acquire) == 0) return idx;
   }
+  return std::nullopt;
+}
+
+bool BufferPool::CanGrabLocked(const Shard& shard) const {
+  return !shard.free_frames.empty() || VictimLocked(shard).has_value();
 }
 
 Status BufferPool::EvictFrameLocked(Shard* shard, size_t frame_index) {
@@ -117,10 +112,7 @@ Status BufferPool::EvictFrameLocked(Shard* shard, size_t frame_index) {
     f.dirty.store(false, std::memory_order_relaxed);
   }
   shard->map.erase(f.id);
-  if (f.in_lru) {
-    shard->lru.erase(f.lru_pos);
-    f.in_lru = false;
-  }
+  shard->lru.erase(f.lru_pos);
   f.id = kInvalidPage;
   return Status::OK();
 }
@@ -131,84 +123,108 @@ Result<size_t> BufferPool::GrabFrameLocked(Shard* shard) {
     shard->free_frames.pop_back();
     return idx;
   }
-  if (shard->lru.empty()) {
-    return Status::IOError(
-        "buffer pool shard exhausted: all frames pinned");
+  std::optional<size_t> victim = VictimLocked(*shard);
+  if (!victim) {
+    return Status::IOError("buffer pool shard exhausted: all frames pinned");
   }
-  size_t victim = shard->lru.front();
-  SECXML_RETURN_NOT_OK(EvictFrameLocked(shard, victim));
-  return victim;
+  SECXML_RETURN_NOT_OK(EvictFrameLocked(shard, *victim));
+  return *victim;
 }
 
-Result<PageHandle> BufferPool::InstallLocked(Shard* shard, size_t frame_index,
-                                             PageId id) {
+void BufferPool::InstallLocked(Shard* shard, size_t frame_index, PageId id) {
   Frame& f = frames_[frame_index];
   f.id = id;
   f.pins.store(1, std::memory_order_relaxed);
-  f.in_lru = false;
+  shard->lru.push_back(frame_index);
+  f.lru_pos = std::prev(shard->lru.end());
   shard->map[id] = frame_index;
-  return PageHandle(this, id, &f.page, frame_index);
+}
+
+void BufferPool::ReleaseFailedLocked(Shard* shard, size_t frame_index) {
+  // Every holder of a failed frame is a loader or waiter inside LoadLocked/
+  // Fetch, all releasing under the latch, so exactly one sees the last pin.
+  if (frames_[frame_index].pins.fetch_sub(1, std::memory_order_acq_rel) ==
+      1) {
+    shard->free_frames.push_back(frame_index);
+  }
+}
+
+Result<size_t> BufferPool::LoadLocked(std::unique_lock<std::mutex>* lock,
+                                      Shard* shard, PageId id) {
+  SECXML_ASSIGN_OR_RETURN(size_t idx, GrabFrameLocked(shard));
+  Frame& f = frames_[idx];
+  InstallLocked(shard, idx, id);
+  f.loading = true;
+  ++shard->loading;
+  f.dirty.store(false, std::memory_order_relaxed);
+  // The frame is pinned and loading, so no other thread reads its bytes,
+  // evicts it, or flushes it while the latch is down.
+  lock->unlock();
+  Status read = file_->ReadPage(id, &f.page);
+  lock->lock();
+  f.loading = false;
+  --shard->loading;
+  shard->loaded.notify_all();
+  if (!read.ok()) {
+    shard->map.erase(id);
+    shard->lru.erase(f.lru_pos);
+    f.id = kInvalidPage;
+    ReleaseFailedLocked(shard, idx);
+    return read;
+  }
+  stats_.page_reads.fetch_add(1, std::memory_order_relaxed);
+  return idx;
 }
 
 Result<PageHandle> BufferPool::Fetch(PageId id, bool* was_miss) {
   if (was_miss != nullptr) *was_miss = false;
   Shard& sh = shards_[ShardOf(id)];
-  std::lock_guard<std::mutex> lock(sh.mu);
-  auto it = sh.map.find(id);
-  if (it != sh.map.end()) {
-    size_t idx = it->second;
-    Frame& f = frames_[idx];
-    if (f.in_lru) {
-      sh.lru.erase(f.lru_pos);
-      f.in_lru = false;
+  std::unique_lock<std::mutex> lock(sh.mu);
+  for (;;) {
+    auto it = sh.map.find(id);
+    if (it != sh.map.end()) {
+      size_t idx = it->second;
+      Frame& f = frames_[idx];
+      sh.lru.splice(sh.lru.end(), sh.lru, f.lru_pos);
+      f.pins.fetch_add(1, std::memory_order_relaxed);
+      if (f.loading) {
+        // The pin keeps the frame ours while the loader reads; a failed
+        // read leaves it unmapped, and we retry with a read of our own.
+        sh.loaded.wait(lock, [&f] { return !f.loading; });
+        if (f.id != id) {
+          ReleaseFailedLocked(&sh, idx);
+          continue;
+        }
+      }
+      stats_.cache_hits.fetch_add(1, std::memory_order_relaxed);
+      return PageHandle(this, id, &f.page, idx);
     }
-    f.pins.fetch_add(1, std::memory_order_relaxed);
-    stats_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-    return PageHandle(this, id, &f.page, idx);
+    if (sh.loading == 0 || CanGrabLocked(sh)) break;
+    // Every frame is pinned, some only by reads in flight (a prefetched
+    // frame turns evictable once its read lands): wait rather than fail.
+    sh.loaded.wait(lock, [&] {
+      return sh.loading == 0 || CanGrabLocked(sh) || sh.map.count(id) != 0;
+    });
   }
-  SECXML_ASSIGN_OR_RETURN(size_t idx, GrabFrameLocked(&sh));
-  Frame& f = frames_[idx];
-  // The physical read happens under the shard latch: the frame is not yet
-  // mapped, so no other thread can observe it, and misses for pages of
-  // other shards proceed in parallel.
-  Status read = file_->ReadPage(id, &f.page);
-  if (!read.ok()) {
-    sh.free_frames.push_back(idx);
-    return read;
-  }
-  stats_.page_reads.fetch_add(1, std::memory_order_relaxed);
+  SECXML_ASSIGN_OR_RETURN(size_t idx, LoadLocked(&lock, &sh, id));
   if (was_miss != nullptr) *was_miss = true;
-  f.dirty.store(false, std::memory_order_relaxed);
-  return InstallLocked(&sh, idx, id);
+  return PageHandle(this, id, &frames_[idx].page, idx);
 }
 
 Result<bool> BufferPool::Prefetch(PageId id) {
   Shard& sh = shards_[ShardOf(id)];
-  std::lock_guard<std::mutex> lock(sh.mu);
+  std::unique_lock<std::mutex> lock(sh.mu);
   auto it = sh.map.find(id);
   if (it != sh.map.end()) {
-    // Resident: refresh its LRU position unless a holder has it pinned
-    // (a pinned frame is requeued at the MRU end on its last unpin anyway).
-    Frame& f = frames_[it->second];
-    if (f.in_lru) sh.lru.splice(sh.lru.end(), sh.lru, f.lru_pos);
+    // Resident or loading: refresh its LRU position.
+    sh.lru.splice(sh.lru.end(), sh.lru, frames_[it->second].lru_pos);
     return true;
   }
-  if (sh.free_frames.empty() && sh.lru.empty()) return false;
-  SECXML_ASSIGN_OR_RETURN(size_t idx, GrabFrameLocked(&sh));
-  Frame& f = frames_[idx];
-  Status read = file_->ReadPage(id, &f.page);
-  if (!read.ok()) {
-    sh.free_frames.push_back(idx);
-    return read;
-  }
-  stats_.page_reads.fetch_add(1, std::memory_order_relaxed);
-  f.dirty.store(false, std::memory_order_relaxed);
-  f.id = id;
-  f.pins.store(0, std::memory_order_relaxed);
-  sh.map[id] = idx;
-  sh.lru.push_back(idx);
-  f.lru_pos = std::prev(sh.lru.end());
-  f.in_lru = true;
+  if (!CanGrabLocked(sh)) return false;
+  SECXML_ASSIGN_OR_RETURN(size_t idx, LoadLocked(&lock, &sh, id));
+  // Drop the loader's pin: the page stays resident, unpinned, at the MRU
+  // end.
+  frames_[idx].pins.fetch_sub(1, std::memory_order_acq_rel);
   return true;
 }
 
@@ -220,7 +236,8 @@ Result<PageHandle> BufferPool::Allocate() {
   Frame& f = frames_[idx];
   f.page.Zero();
   f.dirty.store(true, std::memory_order_relaxed);
-  return InstallLocked(&sh, idx, id);
+  InstallLocked(&sh, idx, id);
+  return PageHandle(this, id, &f.page, idx);
 }
 
 Status BufferPool::FlushAll() {
@@ -263,8 +280,7 @@ Status BufferPool::EvictAll() {
     for (const auto& [id, idx] : sh.map) {
       // Acquire pairs with the unpinner's fetch_sub release: a frame seen
       // at zero pins here has all of its holder's page writes visible, so
-      // the dirty flush below reads settled bytes. (Frames that reached
-      // the LRU get this edge through sh.mu; this scan bypasses it.)
+      // the dirty flush below reads settled bytes.
       if (frames_[idx].pins.load(std::memory_order_acquire) == 0) {
         victims.push_back(idx);
       }

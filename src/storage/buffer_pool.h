@@ -2,10 +2,12 @@
 #define SECXML_STORAGE_BUFFER_POOL_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -67,16 +69,26 @@ class PageHandle {
 /// Thread-safe: the frame table is partitioned into shards, each guarded by
 /// its own latch. A page belongs to the shard `page_id % num_shards`, and
 /// every shard owns a disjoint subset of the frames, so Fetch/Allocate/
-/// Unpin/eviction for pages in different shards never contend. Pin counts
-/// and the dirty flag are atomics, so MarkDirty and handle release take no
-/// latch on the hot path (release only latches when the pin count drops to
-/// zero, to requeue the frame on its shard's LRU list).
+/// eviction for pages in different shards never contend. Pin counts and the
+/// dirty flag are atomics, so MarkDirty and handle release take no latch at
+/// all: a mapped frame stays on its shard's LRU list, ordered by its last
+/// fetch, and eviction takes the least recently fetched *unpinned* frame.
+///
+/// Physical reads run outside the shard latch: a miss reserves a frame, maps
+/// it *loading* (pinned by the loader), drops the latch for the read, then
+/// retakes it to mark the frame loaded and wake the shard's waiters. A fetch
+/// that finds its page loading pins the frame and waits for the loader, so
+/// one read serves every concurrent fetch of the page, and fetches of other
+/// pages in the same shard — hits included — never wait out a read. A
+/// failed read unmaps the frame and wakes the waiters, which retry with
+/// their own read.
 ///
 /// Latch ordering (see DESIGN.md): a thread holds at most one shard latch at
 /// a time, and may acquire the PagedFile's internal lock underneath it
-/// (physical I/O happens while the owning shard latch is held). Shard
-/// latches are never nested; whole-pool sweeps (FlushAll, EvictAll) visit
-/// shards one at a time in ascending index order.
+/// (only for the write-back of a dirty eviction victim and for flushes;
+/// reads never hold a shard latch). Shard latches are never nested;
+/// whole-pool sweeps (FlushAll, EvictAll) visit shards one at a time in
+/// ascending index order.
 class BufferPool {
  public:
   /// `capacity` is the number of page frames held in memory. `num_shards`
@@ -93,11 +105,14 @@ class BufferPool {
 
   ~BufferPool();
 
-  /// Pins page `id`, reading it from the file on a miss. Fails if every
-  /// frame in the page's shard is pinned or the read fails. When `was_miss`
-  /// is non-null it is set to whether this fetch had to wait on a physical
-  /// read (cursors use it to attribute fetch waits to themselves; the shared
-  /// IoStats counters cannot be attributed under concurrency).
+  /// Pins page `id`, reading it from the file on a miss. Fails if the read
+  /// fails, or if every frame in the page's shard is pinned once the
+  /// shard's in-flight reads (which a miss waits out) have landed. When
+  /// `was_miss` is non-null it is set to whether this fetch issued the
+  /// physical read (cursors use it to attribute fetch waits to themselves;
+  /// the shared IoStats counters cannot be attributed under concurrency). A
+  /// fetch that waits on another fetch's in-flight read of the page counts
+  /// as a hit.
   Result<PageHandle> Fetch(PageId id, bool* was_miss = nullptr);
 
   /// Background prefetch: makes page `id` resident *without pinning it*,
@@ -143,21 +158,24 @@ class BufferPool {
     PageId id = kInvalidPage;
     std::atomic<uint32_t> pins{0};
     std::atomic<bool> dirty{false};
-    /// Shard owning this frame; fixed at construction.
-    uint32_t home_shard = 0;
-    /// Position in the shard's lru list when pins == 0 and resident.
+    /// Position in the shard's LRU list; valid while mapped.
     std::list<size_t>::iterator lru_pos;
-    bool in_lru = false;
+    /// Mapped, but its read is still in flight (the loader holds a pin).
+    bool loading = false;
   };
 
   /// One latch shard: a slice of the frame table with its own page map,
-  /// LRU list, and free list. All three, plus the non-atomic Frame fields
-  /// (id, lru_pos, in_lru) of the shard's frames, are guarded by `mu`.
+  /// LRU list, free list, and count of frames whose read is in flight.
+  /// All four, plus the non-atomic Frame fields (id, lru_pos, loading) of
+  /// the shard's frames, are guarded by `mu`. `loaded` is notified whenever
+  /// a frame of the shard stops loading.
   struct Shard {
     mutable std::mutex mu;
+    std::condition_variable loaded;
     std::unordered_map<PageId, size_t> map;  // page id -> frame index
-    std::list<size_t> lru;                   // front = least recently used
+    std::list<size_t> lru;  // every mapped frame; front = least recent
     std::vector<size_t> free_frames;
+    size_t loading = 0;
   };
 
   static size_t AutoShards(size_t capacity);
@@ -167,12 +185,26 @@ class BufferPool {
   void Unpin(size_t frame_index);
   /// Requires `shard.mu` held and frames_[frame_index].pins == 0.
   Status EvictFrameLocked(Shard* shard, size_t frame_index);
-  /// Finds a frame to (re)use within `shard`: a free one, else the LRU
-  /// unpinned victim. Requires `shard.mu` held.
+  /// Finds a frame to (re)use within `shard`: a free one, else the least
+  /// recently fetched unpinned one. Requires `shard.mu` held.
   Result<size_t> GrabFrameLocked(Shard* shard);
-  /// Shared tail of Fetch-miss and Allocate. Requires `shard.mu` held.
-  Result<PageHandle> InstallLocked(Shard* shard, size_t frame_index,
-                                   PageId id);
+  /// The least recently fetched unpinned frame of `shard`, if any.
+  /// Requires `shard.mu` held.
+  std::optional<size_t> VictimLocked(const Shard& shard) const;
+  /// Whether GrabFrameLocked would find a frame. Requires `shard.mu` held.
+  bool CanGrabLocked(const Shard& shard) const;
+  /// Maps `frame_index` to `id`, pinned once for the caller, at the MRU end
+  /// of the LRU list. Requires `shard.mu` held.
+  void InstallLocked(Shard* shard, size_t frame_index, PageId id);
+  /// The miss path shared by Fetch and Prefetch: grabs a frame, maps it
+  /// loading for `id`, reads with `lock` released, and retakes it. Returns
+  /// the frame pinned once for the caller, or the read's error after the
+  /// frame is unmapped (and freed once its last waiter lets go).
+  Result<size_t> LoadLocked(std::unique_lock<std::mutex>* lock, Shard* shard,
+                            PageId id);
+  /// Drops one pin of a frame whose load failed; the last holder returns it
+  /// to the free list. Requires `shard.mu` held.
+  void ReleaseFailedLocked(Shard* shard, size_t frame_index);
 
   PagedFile* file_;
   size_t capacity_;

@@ -1,7 +1,5 @@
 #include "storage/shard_map.h"
 
-#include <algorithm>
-
 namespace secxml {
 
 ShardMap ShardMap::Partition(const std::vector<uint32_t>& page_first_nodes,
@@ -22,29 +20,6 @@ ShardMap ShardMap::Partition(const std::vector<uint32_t>& page_first_nodes,
         s + 1 < num_shards ? map.ranges_[s + 1].first_node : num_nodes;
   }
   return map;
-}
-
-size_t ShardMap::ShardOfNode(uint32_t node) const {
-  // Last shard whose first_node <= node; empty shards share their
-  // first_node with the next shard and lose the upper_bound tie, so a
-  // boundary node always lands on the shard that actually owns it.
-  size_t lo = 0;
-  for (size_t s = 1; s < ranges_.size(); ++s) {
-    if (ranges_[s].first_node <= node) lo = s;
-  }
-  // Nodes past every range (e.g. one past the end) fall to the last
-  // non-empty shard.
-  while (lo > 0 && ranges_[lo].empty()) --lo;
-  return lo;
-}
-
-size_t ShardMap::ShardOfPage(size_t ordinal) const {
-  size_t lo = 0;
-  for (size_t s = 1; s < ranges_.size(); ++s) {
-    if (ranges_[s].first_page <= ordinal) lo = s;
-  }
-  while (lo > 0 && ranges_[lo].num_pages() == 0) --lo;
-  return lo;
 }
 
 }  // namespace secxml

@@ -7,10 +7,11 @@
 
 namespace secxml {
 
-/// One shard's contiguous slice of the document-order page space, expressed
-/// both in page ordinals and in the node-id interval those pages begin
-/// (node ids are plain uint32_t here — NodeId from xml/document.h — kept as
-/// integers so storage stays below xml in the layering).
+/// One candidate window's contiguous slice of the document-order page
+/// space, expressed both in page ordinals and in the node-id interval those
+/// pages begin (node ids are plain uint32_t here — NodeId from
+/// xml/document.h — kept as integers so storage stays below xml in the
+/// layering).
 struct ShardRange {
   size_t first_page = 0;  ///< page ordinals [first_page, end_page)
   size_t end_page = 0;
@@ -21,16 +22,17 @@ struct ShardRange {
   size_t num_pages() const { return end_page - first_page; }
 };
 
-/// Document-order page → shard directory (DESIGN.md §13). The page space is
-/// cut into num_shards contiguous ranges of near-equal page count; because
-/// pages are laid out in document order, each range is also a contiguous
-/// node-id interval, and the intervals tile [0, num_nodes) exactly — every
-/// node (hence every fragment-match candidate) has exactly one owner. With
-/// fewer pages than shards the trailing shards own empty ranges.
+/// The candidate windows of one scatter-gather request (DESIGN.md §13). The
+/// page space is cut into num_shards contiguous ranges of near-equal page
+/// count; because pages are laid out in document order, each range is also
+/// a contiguous node-id interval, and the intervals tile [0, num_nodes)
+/// exactly — every node (hence every fragment-match candidate) falls in
+/// exactly one window. With fewer pages than windows the trailing windows
+/// are empty.
 ///
-/// The map is a pure value recomputed by the coordinator after any
-/// structural update (page counts and first-node boundaries move); queries
-/// read it under the coordinator's update fence.
+/// The map is a pure value. The coordinator cuts it per request from the
+/// snapshot the request pinned, so it always tiles that snapshot's node
+/// count even while structural updates commit.
 class ShardMap {
  public:
   ShardMap() = default;
@@ -42,13 +44,6 @@ class ShardMap {
 
   size_t num_shards() const { return ranges_.size(); }
   const ShardRange& range(size_t shard) const { return ranges_[shard]; }
-
-  /// The shard owning `node` (nodes past the end belong to the last
-  /// non-empty shard, so e.g. an append routes somewhere sensible).
-  size_t ShardOfNode(uint32_t node) const;
-
-  /// The shard owning page `ordinal`.
-  size_t ShardOfPage(size_t ordinal) const;
 
  private:
   std::vector<ShardRange> ranges_;

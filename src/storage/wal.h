@@ -86,15 +86,6 @@ class WriteAheadLog {
   /// LSN the next Append will assign.
   uint64_t next_lsn() const { return next_lsn_; }
 
-  /// Raises the LSN the next Append will assign (never lowers it). A
-  /// sharded coordinator interleaves many shard logs into one global LSN
-  /// order by aligning the owning shard's log before each append; recovery
-  /// re-derives the global order from the records themselves, so this
-  /// in-memory bump needs no durability of its own.
-  void set_next_lsn(uint64_t lsn) {
-    if (lsn > next_lsn_) next_lsn_ = lsn;
-  }
-
   /// Records currently in the log (surviving Truncate() resets to 0).
   size_t num_records() const { return records_.size(); }
 

@@ -326,11 +326,11 @@ TEST(CachedCoordinatorTest, ScatterMatchesUncachedAcrossUpdates) {
   ShardFixture f;
   BuildShardFixture(o, &f);
 
-  // Invalidation rides shard 0's commit stream: every update reaches shard
-  // 0 under the exclusive fence, and replicas publish in epoch lockstep.
+  // Invalidation rides the one store's commit stream.
+  SecureStore* store = f.sharded->store();
   cache::ResultCache results;
   QueryPlanCache plans;
-  AttachResultCacheInvalidation(f.sharded->shard_store(0), &results);
+  AttachResultCacheInvalidation(store, &results);
 
   ShardCoordinatorOptions cached_opts;
   cached_opts.semantics = AccessSemantics::kView;
@@ -382,20 +382,20 @@ TEST(CachedCoordinatorTest, ScatterMatchesUncachedAcrossUpdates) {
   // anything being erased. Undoing it and revoking again remaps only onto
   // entries that now exist, so the repeat keeps every fingerprint and must
   // erase subject 1's overlapping entries by class.
-  ASSERT_TRUE(f.sharded->SetSubtreeAccess(30, 1, false).ok());
+  ASSERT_TRUE(store->SetSubtreeAccess(30, 1, false).ok());
   check("after-acl");
-  ASSERT_TRUE(f.sharded->SetSubtreeAccess(30, 1, true).ok());
+  ASSERT_TRUE(store->SetSubtreeAccess(30, 1, true).ok());
   check("after-undo");
-  const size_t entries_before = f.sharded->shard_store(0)->codebook().size();
+  const size_t entries_before = store->codebook().size();
   const uint64_t invalidated_before = results.stats().invalidated;
-  ASSERT_TRUE(f.sharded->SetSubtreeAccess(30, 1, false).ok());
-  ASSERT_EQ(f.sharded->shard_store(0)->codebook().size(), entries_before)
+  ASSERT_TRUE(store->SetSubtreeAccess(30, 1, false).ok());
+  ASSERT_EQ(store->codebook().size(), entries_before)
       << "the repeated revoke must append no codebook entry";
   if (kCacheLive) {
     EXPECT_GT(results.stats().invalidated, invalidated_before);
   }
   check("after-repeat");
-  ASSERT_TRUE(f.sharded->AddSubjectLike(2).ok());
+  ASSERT_TRUE(store->AddSubjectLike(2).ok());
   check("after-subject");
   if (kCacheLive) {
     EXPECT_GT(results.stats().hits, 0u);

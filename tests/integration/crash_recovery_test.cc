@@ -11,6 +11,8 @@
 //    state — no query ever observes a half-applied update.
 //  * A checkpoint that dies mid-Persist leaves the previous checkpoint
 //    recoverable, and the untruncated log still replays past it.
+//  * A recovered store keeps logging at ascending LSNs, and a second crash
+//    recovers both generations of updates.
 
 #include <gtest/gtest.h>
 
@@ -237,6 +239,48 @@ TEST_P(CrashRecoveryTest, CrashAtEveryWalRecordBoundary) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CrashRecoveryTest, ::testing::Range(1, 5));
+
+TEST(CrashRecoveryTest, RecoveredStoreAcceptsNewUpdates) {
+  // LSNs keep ascending across a crash: an update to the recovered store
+  // may not collide with a replayed LSN, and a second crash recovers both
+  // generations.
+  WalFixture f;
+  BuildWalFixture(54, 1600, &f);
+  Rng rng(54);
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(ApplyScriptedUpdate(&f, i, &rng).ok()) << "update " << i;
+  }
+  const uint64_t lsn1 = f.store->applied_lsn();
+  MemPagedFile data1, wal1;
+  SnapshotFile(&f.data, &data1);
+  SnapshotFile(&f.wal, &wal1);
+  std::unique_ptr<SecureStore> recovered;
+  ASSERT_TRUE(
+      SecureStore::OpenWithWal(&data1, &wal1, StoreOptions(), &recovered)
+          .ok());
+  ASSERT_EQ(recovered->applied_lsn(), lsn1);
+
+  // The same update on the never-crashed store and the recovered one.
+  const NodeId target = recovered->num_nodes() / 3;
+  ASSERT_TRUE(f.store->SetSubtreeAccess(target, 0, false).ok());
+  ASSERT_TRUE(recovered->SetSubtreeAccess(target, 0, false).ok());
+  EXPECT_GT(recovered->applied_lsn(), lsn1);
+  EXPECT_EQ(recovered->applied_lsn(), f.store->applied_lsn());
+  const std::string fp = Fingerprint(f.store.get());
+  EXPECT_EQ(Fingerprint(recovered.get()), fp);
+
+  MemPagedFile data2, wal2;
+  SnapshotFile(&data1, &data2);
+  SnapshotFile(&wal1, &wal2);
+  std::unique_ptr<SecureStore> again;
+  SecureStore::RecoveryStats rs;
+  ASSERT_TRUE(
+      SecureStore::OpenWithWal(&data2, &wal2, StoreOptions(), &again, &rs)
+          .ok());
+  EXPECT_EQ(rs.records_replayed, rs.records_in_log);
+  EXPECT_EQ(again->applied_lsn(), recovered->applied_lsn());
+  EXPECT_EQ(Fingerprint(again.get()), fp);
+}
 
 TEST(CrashRecoveryTest, TornWalAppendFailsClosedAndRecoversPreUpdateState) {
   WalFixture f;

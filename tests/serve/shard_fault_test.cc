@@ -1,9 +1,9 @@
-// Per-shard fault isolation: an I/O fault injected into one shard's data
-// file must fail only the queries whose scatter actually read that shard —
-// root-anchored queries with no candidates there sail through with answers
-// identical to the single store, the batch surfaces the failure through
-// first_error, and clearing the fault restores full service (reads never
-// poison the store).
+// Per-window fault isolation: I/O faults injected into the pages of one
+// candidate window must fail only the queries whose scatter actually read
+// them — root-anchored queries with no candidates there sail through with
+// answers identical to the single store, the batch surfaces the failure
+// through first_error, and clearing the faults restores full service
+// (reads never poison the store).
 
 #include <gtest/gtest.h>
 
@@ -21,15 +21,15 @@
 namespace secxml {
 namespace {
 
-constexpr size_t kShards = 4;
-constexpr size_t kFaultyShard = 2;
+constexpr size_t kWindows = 4;
+constexpr size_t kFaultyWindow = 2;
 
 struct FaultFixture {
   Document doc;
   DolLabeling labeling;
   MemPagedFile single_file;
   std::unique_ptr<SecureStore> single;
-  std::vector<std::unique_ptr<MemPagedFile>> data;
+  MemPagedFile data;
   std::unique_ptr<FaultInjectingPagedFile> faulty;
   std::unique_ptr<ShardedStore> sharded;
 };
@@ -37,8 +37,8 @@ struct FaultFixture {
 void BuildFaultFixture(uint64_t seed, FaultFixture* f) {
   ShardFixtureOptions o;
   o.seed = seed;
-  // Reuse the shared generator for doc/ACL, then rebuild by hand so shard
-  // kFaultyShard's data file goes through the fault decorator.
+  // Reuse the shared generator for doc/ACL, then rebuild by hand so the
+  // store's data file goes through the fault decorator.
   ShardFixture base;
   BuildShardFixture(o, &base);
   f->doc = std::move(base.doc);
@@ -49,21 +49,16 @@ void BuildFaultFixture(uint64_t seed, FaultFixture* f) {
   ASSERT_TRUE(SecureStore::Build(f->doc, f->labeling, &f->single_file, sopts,
                                  &f->single)
                   .ok());
-  for (size_t s = 0; s < kShards; ++s) {
-    f->data.push_back(std::make_unique<MemPagedFile>());
-  }
-  // Fault-free while the replicas build; tests arm faults afterwards.
-  f->faulty = std::make_unique<FaultInjectingPagedFile>(
-      f->data[kFaultyShard].get(), FaultOptions{});
+  // Fault-free while the store builds; tests arm faults afterwards.
+  f->faulty =
+      std::make_unique<FaultInjectingPagedFile>(&f->data, FaultOptions{});
   ShardedStoreOptions shopts;
-  shopts.num_shards = kShards;
+  shopts.num_shards = kWindows;
   shopts.nok = sopts;
   shopts.attach_wal = false;
-  auto provider = [f](size_t s) -> Result<ShardFiles> {
+  auto provider = [f](size_t) -> Result<ShardFiles> {
     ShardFiles files;
-    files.data = s == kFaultyShard
-                     ? static_cast<PagedFile*>(f->faulty.get())
-                     : static_cast<PagedFile*>(f->data[s].get());
+    files.data = f->faulty.get();
     return files;
   };
   Status st = ShardedStore::Build(f->doc, f->labeling, shopts, provider,
@@ -72,35 +67,33 @@ void BuildFaultFixture(uint64_t seed, FaultFixture* f) {
 }
 
 void ArmReadFaults(FaultFixture* f) {
-  // Force physical reads on the faulty shard, then make every one fail.
-  ASSERT_TRUE(f->sharded->shard_store(kFaultyShard)
-                  ->nok()
-                  ->buffer_pool()
-                  ->EvictAll()
-                  .ok());
-  FaultOptions fopts;
-  fopts.read_fault_prob = 1.0;
-  fopts.persistent = true;
-  f->faulty->SetOptions(fopts);
+  // Force physical reads, then make every read of window kFaultyWindow's
+  // pages fail.
+  SecureStore* store = f->sharded->store();
+  ASSERT_TRUE(store->nok()->buffer_pool()->EvictAll().ok());
+  const ShardRange window = f->sharded->Windows().range(kFaultyWindow);
+  ASSERT_FALSE(window.empty());
+  const std::vector<NokStore::PageInfo>& infos = store->nok()->page_infos();
+  for (size_t p = window.first_page; p < window.end_page; ++p) {
+    f->faulty->SetPageFault(infos[p].page_id, /*fail_reads=*/true,
+                            /*fail_writes=*/false);
+  }
 }
 
-void DisarmFaults(FaultFixture* f) {
-  f->faulty->SetOptions(FaultOptions{});
-  f->faulty->ClearPageFaults();
-}
+void DisarmFaults(FaultFixture* f) { f->faulty->ClearPageFaults(); }
 
 TEST(ShardFaultTest, OneShardsFaultFailsOnlyTouchingJobs) {
   FaultFixture f;
   BuildFaultFixture(61, &f);
   PatternTree rooted, wild;
   ASSERT_TRUE(ParseXPath("/site", &rooted).ok());
-  // `//*` makes every node in each shard's window a candidate, so the wild
-  // jobs are guaranteed to fetch records from the faulty shard (a tag query
-  // could have all its postings land in other shards' windows).
+  // `//*` makes every node in each window a candidate, so the wild jobs are
+  // guaranteed to fetch records from the faulty window (a tag query could
+  // have all its postings land in other windows).
   ASSERT_TRUE(ParseXPath("//*", &wild).ok());
 
-  // Interleave jobs that never scan the faulty shard (the root candidate,
-  // node 0, is shard 0's) with jobs that must read it.
+  // Interleave jobs that never read the faulty window (the root candidate,
+  // node 0, is window 0's) with jobs that must read it.
   std::vector<QueryJob> jobs;
   for (SubjectId s = 0; s < 6; ++s) {
     jobs.push_back({s, rooted});
@@ -166,8 +159,9 @@ TEST(ShardFaultTest, ServiceRecoversOnceTheFaultClears) {
   ShardCoordinatorOptions copts;
   copts.semantics = AccessSemantics::kView;
   ShardCoordinator coord(f.sharded.get(), copts);
-  // At probability 1.0 with evicted pools, at least one of these queries
-  // must have hit the faulty shard.
+  // With an evicted pool, at least one of these queries must have read the
+  // faulty window (a view-semantics query sweeps every page for the
+  // subject's hidden intervals).
   size_t failures = 0;
   for (const PatternTree& q : queries) {
     if (!coord.Evaluate(q, 0).ok()) ++failures;

@@ -1,10 +1,10 @@
 // Scatter-gather differential tests (DESIGN.md §13): a ShardCoordinator over
-// an N-shard ShardedStore must produce, for every seed, semantics, and batch
-// width, answers byte-identical to the single-store evaluators — with zero
-// access-only I/O per shard, a clean per-result rollup identity, and the
-// document-order merge proved match by match. Cross-shard edge cases
-// (boundary-spanning matches, empty shards, shards whose owned range is
-// entirely inaccessible) are pinned here too.
+// a ShardedStore cut into N candidate windows must produce, for every seed,
+// semantics, and batch width, answers byte-identical to the single-store
+// evaluators — with zero access-only I/O per window, a clean per-result
+// rollup identity, and the document-order merge proved match by match.
+// Cross-window edge cases (boundary-spanning matches, empty windows, windows
+// that are entirely inaccessible) are pinned here too.
 
 #include <gtest/gtest.h>
 
@@ -24,9 +24,9 @@
 namespace secxml {
 namespace {
 
-// Sum of the named operator's stats across a result (the sharded layout has
-// one "scan" / "visibility" operator per shard where the single-store layout
-// has one total).
+// Sum of the named operator's stats across a result (the scattered layout
+// has one "scan" operator per window where the single-store layout has one
+// total).
 ExecStats SumOps(const EvalResult& r, const std::string& name) {
   ExecStats sum;
   for (const OperatorStats& op : r.operators) {
@@ -65,16 +65,6 @@ TEST(ShardMapTest, PartitionTilesTheNodeSpace) {
     }
     EXPECT_EQ(expect_node, num_nodes);
     EXPECT_EQ(expect_page, firsts.size());
-    for (uint32_t n = 0; n < num_nodes; ++n) {
-      size_t s = map.ShardOfNode(n);
-      EXPECT_GE(n, map.range(s).first_node);
-      EXPECT_LT(n, map.range(s).end_node);
-    }
-    for (size_t p = 0; p < firsts.size(); ++p) {
-      size_t s = map.ShardOfPage(p);
-      EXPECT_GE(p, map.range(s).first_page);
-      EXPECT_LT(p, map.range(s).end_page);
-    }
   }
 }
 
@@ -109,13 +99,13 @@ TEST_P(ShardDifferentialTest, FourShardsMatchSingleStore) {
             << static_cast<int>(sem) << ": " << q.ToString();
         EXPECT_EQ(sr->fragment_matches, rr->fragment_matches);
 
-        // Zero extra access I/O on every shard, and the merge actually ran.
+        // Zero extra access I/O on every window, and the merge actually ran.
         EXPECT_EQ(sr->exec.access_only_fetches, 0u);
         EXPECT_EQ(sr->exec.shards_scattered, 4u);
         ExpectRollupIdentity(*sr, "sharded result");
 
-        // Candidate windows tile the node space, so the per-shard scans sum
-        // to exactly the single store's scan work.
+        // Candidate windows tile the node space, so the per-window scans
+        // sum to exactly the single store's scan work.
         ExecStats scan_sum = SumOps(*sr, "scan");
         ExecStats single_scan = SumOps(*rr, "scan");
         EXPECT_EQ(scan_sum.nodes_scanned, single_scan.nodes_scanned)
@@ -233,8 +223,8 @@ INSTANTIATE_TEST_SUITE_P(Widths, ShardBatchWidthTest,
                          ::testing::Values(1, 64, 512));
 
 TEST(ShardMergeTest, OneVsManyShardsIdentical) {
-  // The 1-shard coordinator is the unscattered evaluator; every wider shard
-  // count must reproduce it exactly.
+  // The 1-window coordinator is the unscattered evaluator; every wider
+  // window count must reproduce it exactly.
   ShardFixtureOptions base;
   base.seed = 21;
   base.num_shards = 1;
@@ -266,8 +256,8 @@ TEST(ShardMergeTest, OneVsManyShardsIdentical) {
 
 TEST(ShardMergeTest, EmptyShardsWithMoreShardsThanPages) {
   // A tiny document at physical page capacity packs into fewer pages than
-  // shards; the trailing shards own empty ranges and must contribute
-  // nothing (and break nothing).
+  // windows; the trailing windows are empty and must contribute nothing
+  // (and break nothing).
   ShardFixtureOptions o;
   o.seed = 33;
   o.num_shards = 8;
@@ -277,10 +267,11 @@ TEST(ShardMergeTest, EmptyShardsWithMoreShardsThanPages) {
   BuildShardFixture(o, &f);
 
   size_t empties = 0;
-  for (size_t s = 0; s < 8; ++s) {
-    if (f.sharded->shard_map().range(s).empty()) ++empties;
+  const ShardMap windows = f.sharded->Windows();
+  for (size_t w = 0; w < 8; ++w) {
+    if (windows.range(w).empty()) ++empties;
   }
-  ASSERT_GT(empties, 0u) << "fixture did not produce empty shards";
+  ASSERT_GT(empties, 0u) << "fixture did not produce empty windows";
 
   ShardCoordinatorOptions copts;
   copts.semantics = AccessSemantics::kView;
@@ -301,16 +292,17 @@ TEST(ShardMergeTest, EmptyShardsWithMoreShardsThanPages) {
 }
 
 TEST(ShardMergeTest, BoundarySpanningMatchComesOutWhole) {
-  // A root-anchored twig whose match root (node 0) belongs to shard 0 while
-  // its bindings live arbitrarily deep in every other shard's range: the
-  // owner's full replica must produce the whole match, identical to the
-  // single store.
+  // A root-anchored twig whose match root (node 0) lies in window 0 while
+  // its bindings live arbitrarily deep in every other window: window 0's
+  // scan of the full structure must produce the whole match, identical to
+  // the single store.
   ShardFixtureOptions o;
   o.seed = 5;
   ShardFixture f;
   BuildShardFixture(o, &f);
-  ASSERT_LT(f.sharded->shard_map().range(0).end_node, f.sharded->num_nodes())
-      << "need a real shard boundary below the root's subtree end";
+  const NodeId window0_end = f.sharded->Windows().range(0).end_node;
+  ASSERT_LT(window0_end, f.sharded->store()->num_nodes())
+      << "need a real window boundary below the root's subtree end";
 
   PatternTree q;
   ASSERT_TRUE(ParseXPath("/site//item", &q).ok());
@@ -330,19 +322,19 @@ TEST(ShardMergeTest, BoundarySpanningMatchComesOutWhole) {
     EXPECT_EQ(sr->fragment_matches, rr->fragment_matches);
   }
   // The root match itself exists for the all-access case and its answers
-  // extend past shard 0's boundary — the span the merge had to preserve.
+  // extend past window 0's boundary — the span the merge had to preserve.
   auto open = coord.Evaluate(q, 0);
   ASSERT_TRUE(open.ok());
   if (!open->answers.empty()) {
-    EXPECT_GT(open->answers.back(), f.sharded->shard_map().range(0).end_node);
+    EXPECT_GT(open->answers.back(), window0_end);
   }
 }
 
 TEST(ShardMergeTest, AllDeadShardIsSkippedConsistently) {
   // Subject 1 can access only the first ~eighth of the document, so the
-  // trailing shards' owned ranges are wholly inaccessible: page skipping
-  // must kill them without extra I/O, and answers must still match the
-  // single store (which skips the same pages once).
+  // trailing windows are wholly inaccessible: page skipping must kill them
+  // without extra I/O, and answers must still match the single store (which
+  // skips the same pages once).
   XMarkOptions xopts;
   xopts.seed = 77;
   xopts.target_nodes = 2000;
@@ -388,7 +380,7 @@ TEST(ShardMergeTest, AllDeadShardIsSkippedConsistently) {
       EXPECT_EQ(sr->answers, rr->answers)
           << "subject " << s << ": " << q.ToString();
       EXPECT_EQ(sr->exec.access_only_fetches, 0u);
-      // A page on a shard boundary can be counted skipped by both of its
+      // A page on a window boundary can be counted skipped by both of its
       // neighbors, so the scattered count dominates the single store's.
       EXPECT_GE(sr->exec.pages_skipped, rr->exec.pages_skipped);
     }

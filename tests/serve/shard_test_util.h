@@ -3,8 +3,8 @@
 
 // Shared fixture for the sharded-serving suites: one XMark document with a
 // synthetic multi-subject ACL, built twice — as a single reference
-// SecureStore and as an N-shard ShardedStore over a ShardFileSet — so every
-// test is a differential against the single-store evaluators.
+// SecureStore and as a ShardedStore cut into N windows over a ShardFileSet —
+// so every test is a differential against the single-store evaluators.
 
 #include <gtest/gtest.h>
 

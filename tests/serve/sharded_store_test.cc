@@ -1,15 +1,13 @@
-// ShardedStore replication tests: every mutator on the sharded surface must
-// leave all N replicas logically identical (same answers, same applied LSN),
-// route its WAL record to exactly one owner log, and keep the coordinator's
-// scatter-gather differential against a single store receiving the same
-// update sequence.
+// ShardedStore update tests: updates applied through store() must keep the
+// coordinator's scatter-gather answers equal to a single store receiving the
+// same update sequence, and the per-request candidate windows must keep
+// tiling [0, num_nodes) as structural updates and vacuum move page
+// boundaries.
 
 #include "serve/sharded_store.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <map>
 #include <vector>
 
 #include "core/accessibility_map.h"
@@ -21,16 +19,10 @@
 namespace secxml {
 namespace {
 
-// Differential check after each update: 4-shard scatter answers equal the
-// single store's for every subject and query, and every replica sits at the
-// same applied LSN.
+// Differential check after each update: the 4-window scatter answers equal
+// the single store's for every subject and query.
 void CheckMirrors(ShardFixture* f, const std::vector<PatternTree>& queries,
                   size_t num_subjects, const char* what) {
-  for (size_t s = 0; s < f->sharded->num_shards(); ++s) {
-    EXPECT_EQ(f->sharded->shard_store(s)->applied_lsn(),
-              f->sharded->applied_lsn())
-        << what << ": shard " << s << " diverged";
-  }
   ShardCoordinatorOptions copts;
   copts.semantics = AccessSemantics::kView;
   ShardCoordinator coord(f->sharded.get(), copts);
@@ -50,6 +42,19 @@ void CheckMirrors(ShardFixture* f, const std::vector<PatternTree>& queries,
   }
 }
 
+// The windows of the current snapshot tile [0, num_nodes) in ascending,
+// contiguous ranges.
+void ExpectWindowsTile(ShardedStore* sharded, const char* what) {
+  const ShardMap windows = sharded->Windows();
+  ASSERT_EQ(windows.num_shards(), sharded->num_shards()) << what;
+  uint32_t expect = 0;
+  for (size_t w = 0; w < windows.num_shards(); ++w) {
+    EXPECT_EQ(windows.range(w).first_node, expect) << what << " window " << w;
+    expect = windows.range(w).end_node;
+  }
+  EXPECT_EQ(expect, sharded->store()->num_nodes()) << what;
+}
+
 Document MakeFragment() {
   Document frag;
   EXPECT_TRUE(
@@ -64,30 +69,30 @@ TEST(ShardedStoreTest, UpdatesReplicateAcrossShards) {
   o.attach_wal = true;
   ShardFixture f;
   BuildShardFixture(o, &f);
+  SecureStore* store = f.sharded->store();
   std::vector<PatternTree> queries = MakeShardQueries(f.doc, 3, 3);
   size_t num_subjects = o.num_subjects;
-  const NodeId n = f.sharded->num_nodes();
+  const NodeId n = store->num_nodes();
 
-  // An ACL range flip spanning a shard boundary (owned by the shard of its
-  // first node, visible everywhere).
-  const NodeId b0 = f.sharded->shard_map().range(0).end_node;
+  // An ACL range flip spanning a window boundary.
+  const NodeId b0 = f.sharded->Windows().range(0).end_node;
   ASSERT_TRUE(f.single->SetRangeAccess(b0 - 5, b0 + 5, 1, false).ok());
-  ASSERT_TRUE(f.sharded->SetRangeAccess(b0 - 5, b0 + 5, 1, false).ok());
+  ASSERT_TRUE(store->SetRangeAccess(b0 - 5, b0 + 5, 1, false).ok());
   CheckMirrors(&f, queries, num_subjects, "range-acl");
 
   // A subtree flip rooted mid-document.
   ASSERT_TRUE(f.single->SetSubtreeAccess(n / 2, 2, true).ok());
-  ASSERT_TRUE(f.sharded->SetSubtreeAccess(n / 2, 2, true).ok());
+  ASSERT_TRUE(store->SetSubtreeAccess(n / 2, 2, true).ok());
   CheckMirrors(&f, queries, num_subjects, "subtree-acl");
 
-  // Subject management (codebook-wide, owned by shard 0).
+  // Subject management (codebook-wide).
   auto sa = f.single->AddSubject(true);
-  auto ga = f.sharded->AddSubject(true);
+  auto ga = store->AddSubject(true);
   ASSERT_TRUE(sa.ok() && ga.ok());
   EXPECT_EQ(*sa, *ga);
   ++num_subjects;
   auto sl = f.single->AddSubjectLike(0);
-  auto gl = f.sharded->AddSubjectLike(0);
+  auto gl = store->AddSubjectLike(0);
   ASSERT_TRUE(sl.ok() && gl.ok());
   EXPECT_EQ(*sl, *gl);
   ++num_subjects;
@@ -96,14 +101,14 @@ TEST(ShardedStoreTest, UpdatesReplicateAcrossShards) {
   ASSERT_TRUE(
       f.single->RemoveSubject(static_cast<SubjectId>(num_subjects - 1)).ok());
   ASSERT_TRUE(
-      f.sharded->RemoveSubject(static_cast<SubjectId>(num_subjects - 1)).ok());
+      store->RemoveSubject(static_cast<SubjectId>(num_subjects - 1)).ok());
   --num_subjects;
   CheckMirrors(&f, queries, num_subjects, "remove-subject");
 
   // Structural deletion, then insertion of a labeled fragment under the
   // root, then codebook compaction.
   ASSERT_TRUE(f.single->DeleteSubtree(n / 3).ok());
-  ASSERT_TRUE(f.sharded->DeleteSubtree(n / 3).ok());
+  ASSERT_TRUE(store->DeleteSubtree(n / 3).ok());
   CheckMirrors(&f, queries, num_subjects, "delete-subtree");
 
   Document frag = MakeFragment();
@@ -113,118 +118,16 @@ TEST(ShardedStoreTest, UpdatesReplicateAcrossShards) {
   }
   auto spos =
       f.single->InsertSubtree(0, kInvalidNode, frag, DolLabeling::Build(fmap));
-  auto gpos = f.sharded->InsertSubtree(0, kInvalidNode, frag,
-                                       DolLabeling::Build(fmap));
+  auto gpos =
+      store->InsertSubtree(0, kInvalidNode, frag, DolLabeling::Build(fmap));
   ASSERT_TRUE(spos.ok()) << spos.status();
   ASSERT_TRUE(gpos.ok()) << gpos.status();
   EXPECT_EQ(*spos, *gpos);
   CheckMirrors(&f, queries, num_subjects, "insert-subtree");
 
   ASSERT_TRUE(f.single->CompactCodebook().ok());
-  ASSERT_TRUE(f.sharded->CompactCodebook().ok());
+  ASSERT_TRUE(store->CompactCodebook().ok());
   CheckMirrors(&f, queries, num_subjects, "compact");
-
-  // The shard map still tiles [0, num_nodes) after structural churn.
-  uint32_t expect = 0;
-  for (size_t s = 0; s < f.sharded->num_shards(); ++s) {
-    EXPECT_EQ(f.sharded->shard_map().range(s).first_node, expect);
-    expect = f.sharded->shard_map().range(s).end_node;
-  }
-  EXPECT_EQ(expect, f.sharded->num_nodes());
-}
-
-TEST(ShardedStoreTest, RecordsLandOnlyInTheOwnersLog) {
-  ShardFixtureOptions o;
-  o.seed = 9;
-  o.attach_wal = true;
-  ShardFixture f;
-  BuildShardFixture(o, &f);
-  const ShardMap& map = f.sharded->shard_map();
-
-  // One node-targeted update aimed into each shard's owned range, plus one
-  // codebook-wide update (owned by shard 0 by convention).
-  std::vector<size_t> expect_owner;
-  for (size_t s = 0; s < 4; ++s) {
-    const NodeId target = map.range(s).first_node;
-    ASSERT_TRUE(f.sharded->SetNodeAccess(target, 0, false).ok());
-    expect_owner.push_back(s);
-  }
-  auto added = f.sharded->AddSubject(false);
-  ASSERT_TRUE(added.ok());
-  expect_owner.push_back(0);
-
-  // Collect (lsn -> shard log) across all logs: each LSN must appear in
-  // exactly one log, the owner's, and the LSNs must be gapless up to
-  // applied_lsn().
-  std::map<uint64_t, size_t> lsn_log;
-  uint64_t max_lsn = 0;
-  for (size_t s = 0; s < 4; ++s) {
-    Status st = f.sharded->shard_store(s)->wal()->Replay(
-        0, [&](const WriteAheadLog::Record& r) {
-          EXPECT_EQ(lsn_log.count(r.lsn), 0u)
-              << "lsn " << r.lsn << " in two logs";
-          lsn_log[r.lsn] = s;
-          max_lsn = std::max(max_lsn, r.lsn);
-          return Status::OK();
-        });
-    ASSERT_TRUE(st.ok());
-  }
-  ASSERT_EQ(lsn_log.size(), expect_owner.size());
-  EXPECT_EQ(max_lsn, f.sharded->applied_lsn());
-  size_t i = 0;
-  for (const auto& [lsn, log] : lsn_log) {
-    EXPECT_EQ(log, expect_owner[i]) << "record " << i << " (lsn " << lsn
-                                    << ") landed in the wrong log";
-    ++i;
-  }
-}
-
-TEST(ShardedStoreTest, NoWalModeReplicatesDirectly) {
-  ShardFixtureOptions o;
-  o.seed = 15;
-  o.attach_wal = false;
-  ShardFixture f;
-  BuildShardFixture(o, &f);
-  std::vector<PatternTree> queries = MakeShardQueries(f.doc, 15, 3);
-  const NodeId n = f.sharded->num_nodes();
-
-  ASSERT_TRUE(f.single->SetRangeAccess(n / 4, n / 2, 0, false).ok());
-  ASSERT_TRUE(f.sharded->SetRangeAccess(n / 4, n / 2, 0, false).ok());
-  ASSERT_TRUE(f.single->DeleteSubtree(n / 2).ok());
-  ASSERT_TRUE(f.sharded->DeleteSubtree(n / 2).ok());
-  CheckMirrors(&f, queries, o.num_subjects, "no-wal");
-}
-
-TEST(ShardedStoreTest, CheckpointTruncatesEveryLog) {
-  ShardFixtureOptions o;
-  o.seed = 27;
-  o.attach_wal = true;
-  ShardFixture f;
-  BuildShardFixture(o, &f);
-  const NodeId n = f.sharded->num_nodes();
-  for (int i = 1; i <= 6; ++i) {
-    ASSERT_TRUE(
-        f.sharded->SetNodeAccess(static_cast<NodeId>(i * n / 8), 0, false)
-            .ok());
-  }
-  const uint64_t lsn = f.sharded->applied_lsn();
-  ASSERT_GT(lsn, 0u);
-  ASSERT_TRUE(f.sharded->Checkpoint().ok());
-  for (size_t s = 0; s < 4; ++s) {
-    size_t records = 0;
-    ASSERT_TRUE(f.sharded->shard_store(s)
-                    ->wal()
-                    ->Replay(0,
-                             [&](const WriteAheadLog::Record&) {
-                               ++records;
-                               return Status::OK();
-                             })
-                    .ok());
-    EXPECT_EQ(records, 0u) << "shard " << s << " log not truncated";
-  }
-  // Updates keep flowing after the checkpoint, with ascending LSNs.
-  ASSERT_TRUE(f.sharded->SetNodeAccess(1, 0, false).ok());
-  EXPECT_GT(f.sharded->applied_lsn(), lsn);
 }
 
 TEST(ShardedStoreTest, VacuumReplicatesAndRefreshesTheShardMap) {
@@ -233,32 +136,54 @@ TEST(ShardedStoreTest, VacuumReplicatesAndRefreshesTheShardMap) {
   o.attach_wal = true;
   ShardFixture f;
   BuildShardFixture(o, &f);
+  SecureStore* store = f.sharded->store();
   std::vector<PatternTree> queries = MakeShardQueries(f.doc, 41, 3);
-  const NodeId n = f.sharded->num_nodes();
+  const NodeId n = store->num_nodes();
+
+  // Structural churn moves page boundaries: a deletion shrinks the node
+  // space, an insertion under the root grows it.
+  ASSERT_TRUE(f.single->DeleteSubtree(n / 3).ok());
+  ASSERT_TRUE(store->DeleteSubtree(n / 3).ok());
+  ExpectWindowsTile(f.sharded.get(), "delete-subtree");
+  Document frag = MakeFragment();
+  DenseAccessMap fmap(static_cast<NodeId>(frag.NumNodes()), o.num_subjects);
+  for (SubjectId s = 0; s < o.num_subjects; ++s) {
+    fmap.SetSubtree(frag, s, 0, true);
+  }
+  ASSERT_TRUE(
+      f.single->InsertSubtree(0, kInvalidNode, frag, DolLabeling::Build(fmap))
+          .ok());
+  ASSERT_TRUE(
+      store->InsertSubtree(0, kInvalidNode, frag, DolLabeling::Build(fmap))
+          .ok());
+  ExpectWindowsTile(f.sharded.get(), "insert-subtree");
+  CheckMirrors(&f, queries, o.num_subjects, "structural");
 
   // Churn ACLs so the vacuum has transitions to fold, mirrored on both.
+  const NodeId m = store->num_nodes();
   for (int i = 1; i <= 4; ++i) {
     ASSERT_TRUE(
-        f.single->SetSubtreeAccess(static_cast<NodeId>(i * n / 6), 1, false)
+        f.single->SetSubtreeAccess(static_cast<NodeId>(i * m / 6), 1, false)
             .ok());
     ASSERT_TRUE(
-        f.sharded->SetSubtreeAccess(static_cast<NodeId>(i * n / 6), 1, false)
+        store->SetSubtreeAccess(static_cast<NodeId>(i * m / 6), 1, false)
             .ok());
   }
+  const size_t pages_before = store->nok()->num_pages();
   SecureStore::VacuumOptions vopts;
   vopts.checkpoint_after = true;
   SecureStore::VacuumStats single_stats, sharded_stats;
   ASSERT_TRUE(f.single->Vacuum(vopts, &single_stats).ok());
-  ASSERT_TRUE(f.sharded->Vacuum(vopts, &sharded_stats).ok());
+  ASSERT_TRUE(store->Vacuum(vopts, &sharded_stats).ok());
+  EXPECT_EQ(sharded_stats.pages_before, pages_before);
   EXPECT_EQ(sharded_stats.pages_after, single_stats.pages_after);
+  EXPECT_EQ(store->nok()->num_pages(), sharded_stats.pages_after);
 
   CheckMirrors(&f, queries, o.num_subjects, "vacuum");
-  uint32_t expect = 0;
-  for (size_t s = 0; s < f.sharded->num_shards(); ++s) {
-    EXPECT_EQ(f.sharded->shard_map().range(s).first_node, expect);
-    expect = f.sharded->shard_map().range(s).end_node;
-  }
-  EXPECT_EQ(expect, f.sharded->num_nodes());
+  ExpectWindowsTile(f.sharded.get(), "vacuum");
+  // The windows are cut from the vacuumed page directory.
+  EXPECT_EQ(f.sharded->Windows().range(o.num_shards - 1).end_page,
+            sharded_stats.pages_after);
 }
 
 }  // namespace
