@@ -6,6 +6,13 @@
 # accounting and reintroduces the per-caller access-check copies this layer
 # removed.
 #
+# One decoder: a page's embedded DOL transition list is read only by
+# PageCodes / PageCodeWalker (src/nok/nok_format.h), which validate it
+# before resolving any code. TransitionOffset and ReadAt<DolTransition> are
+# forbidden everywhere in src/ outside src/nok, so no layer can walk the
+# raw list again (an unvalidated walk of a corrupt, unsorted list returns a
+# plausible wrong code).
+#
 # Whitelisted direct uses (legitimately outside the scan path):
 #   - src/core/secure_store.cc: PageTransitions on the UPDATE/extract paths
 #     (SetRangeAccess page rewrite, CompactCodebook remap, ExtractLabeling);
@@ -38,7 +45,7 @@ report() {
 }
 
 # Raw scan primitives: forbidden everywhere in query/ and core/. These are
-# the calls SecureCursor/PageSweep/PageCodeWalker own.
+# the calls SecureCursor/MultiSubjectCursor/PageSweep own.
 grep -rn "RecordAndCode\|FirstAtDepthInPage\|buffer_pool()->Fetch\|buffer_pool_\.Fetch" \
     src/query src/core --include='*.cc' --include='*.h' \
   | report "scan primitive outside src/exec (use SecureCursor/PageSweep)"
@@ -57,15 +64,21 @@ grep -rn "Codebook::Column\|codebook()\.Column\|codebook_\.Column\|->Column(\|\.
     src/query --include='*.cc' --include='*.h' \
   | report "direct codebook column extraction in src/query (use MultiSubjectCursor / GroupSubjectsByColumn)"
 
-# Page transition walks in the query layer: PageCodeWalker owns the decode.
+# Page transition walks in the query layer: the cursors own the decode.
 grep -rn "PageTransitions" src/query --include='*.cc' --include='*.h' \
-  | report "direct DOL transition walk in src/query (use PageCodeWalker)"
+  | report "direct DOL transition walk in src/query (use SecureCursor / MultiSubjectCursor)"
 
 # In core/, PageTransitions is only legitimate on secure_store.cc's update
-# and extraction paths; everything else must use PageCodeWalker.
+# and extraction paths; everything else must use PageCodes/PageCodeWalker.
 grep -rn "PageTransitions" src/core --include='*.cc' --include='*.h' \
   | grep -v '^src/core/secure_store\.cc:' \
   | report "DOL transition walk in src/core outside the update paths"
+
+# Raw reads of the transition list outside src/nok: PageCodes (and
+# PageCodeWalker over it) is the one decoder.
+grep -rn "TransitionOffset(\|ReadAt<DolTransition>" src --include='*.cc' --include='*.h' \
+  | grep -v '^src/nok/' \
+  | report "raw DOL transition read outside src/nok (use PageCodes / PageCodeWalker)"
 
 # Codebook probes in core/ outside the whitelisted definitional sites.
 grep -rn "codebook_\.Accessible\|codebook()\.Accessible" \

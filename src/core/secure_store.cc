@@ -1035,20 +1035,20 @@ Result<std::vector<NodeInterval>> SecureStore::ComputeHiddenSubtreeIntervals(
 
     sweep.PrefetchFrom(ordinal);
     SECXML_ASSIGN_OR_RETURN(PageHandle handle, sweep.Fetch(ordinal));
-    NokPageHeader header = handle.page().ReadAt<NokPageHeader>(0);
-    SECXML_RETURN_NOT_OK(CheckOnDiskHeader(header, info.page_id));
+    SECXML_ASSIGN_OR_RETURN(PageCodes codes,
+                            PageCodes::Decode(handle.page(), info.page_id));
     // The walker must see every slot (codes resolve from the run in
     // effect), so slots inside an already-hidden subtree still advance it
     // — they are just not probed or counted.
-    PageCodeWalker walker(handle.page(), header);
-    for (uint32_t slot = 0; slot < header.num_records; ++slot) {
+    PageCodeWalker walker(codes);
+    for (uint32_t slot = 0; slot < codes.header().num_records; ++slot) {
       uint32_t code = walker.CodeFor(slot);
       NodeId n = page_begin + slot;
       if (n < blocked_end) continue;  // inside an already-hidden subtree
       ++stats->nodes_scanned;
       ++stats->codes_checked;
       if (code_accessible(code)) continue;
-      NokRecord rec = walker.RecordAt(slot);
+      NokRecord rec = codes.RecordAt(slot);
       NodeId subtree_end = n + rec.subtree_size;
       if (!hidden.empty() && hidden.back().end == n) {
         hidden.back().end = subtree_end;  // adjacent subtrees merge

@@ -6,22 +6,6 @@
 
 namespace secxml {
 
-namespace {
-
-/// Mirror of the store's node-in-page validation (see secure_cursor.cc):
-/// the directory entry is trusted, the node id is not.
-Status CheckNodeInPage(const NokStore::PageInfo& info, NodeId n) {
-  if (n < info.first_node || n - info.first_node >= info.num_records) {
-    return Status::Corruption("node " + std::to_string(n) +
-                              " lies outside page " +
-                              std::to_string(info.page_id) +
-                              " (corrupt node id or directory)");
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 MultiSubjectCursor::MultiSubjectCursor(SecureStore* store,
                                        const std::vector<SubjectId>& class_reps,
                                        const Options& options)
@@ -74,6 +58,7 @@ void MultiSubjectCursor::MaterializeCodeMask(uint32_t code) const {
 }
 
 void MultiSubjectCursor::BeginScan() {
+  run_.Release();
   if (options_.page_skip) {
     skip_counted_.assign(store_->nok()->num_pages(), 0);
   } else {
@@ -89,45 +74,18 @@ void MultiSubjectCursor::CountSkippedPage(size_t ordinal) {
   }
 }
 
-Result<PageHandle> MultiSubjectCursor::PinPage(size_t ordinal, NodeId u) {
-  NokStore* nok = store_->nok();
-  if (ordinal >= nok->num_pages()) {
-    return Status::Corruption("page ordinal " + std::to_string(ordinal) +
-                              " out of range");
-  }
-  const NokStore::PageInfo& info = nok->page_infos()[ordinal];
-  SECXML_RETURN_NOT_OK(CheckNodeInPage(info, u));
-  bool miss = false;
-  SECXML_ASSIGN_OR_RETURN(PageHandle handle,
-                          nok->buffer_pool()->Fetch(info.page_id, &miss));
-  if (miss) ++stats_.fetch_waits;
-  return handle;
-}
-
 Result<NokRecord> MultiSubjectCursor::FetchChecked(size_t ordinal, NodeId u,
                                                    ClassMask* access) {
-  SECXML_ASSIGN_OR_RETURN(PageHandle handle, PinPage(ordinal, u));
-  const NokStore::PageInfo& info = store_->nok()->page_infos()[ordinal];
-  uint32_t slot = u - info.first_node;
-  NokRecord rec = handle.page().ReadAt<NokRecord>(RecordOffset(slot));
+  SECXML_RETURN_NOT_OK(run_.HoldNode(store_->nok(), ordinal, u, &stats_));
   ++stats_.nodes_scanned;
   // The code lives in u's own page (Section 3.3), so resolving it costs no
-  // additional I/O: same pin, a transition walk at worst. One table load
+  // additional I/O: the held pin, a binary search at worst. One table load
   // then answers accessibility for the whole batch.
-  uint32_t code = info.first_code;
-  if (info.change_bit && slot > 0) {
-    NokPageHeader header = handle.page().ReadAt<NokPageHeader>(0);
-    SECXML_RETURN_NOT_OK(CheckOnDiskHeader(header, info.page_id));
-    for (uint32_t i = 0; i < header.num_transitions; ++i) {
-      DolTransition t =
-          handle.page().ReadAt<DolTransition>(TransitionOffset(i));
-      if (t.slot > slot) break;
-      code = t.code;
-    }
-  }
+  uint32_t code;
+  SECXML_RETURN_NOT_OK(run_.Code(u, &code));
   ++stats_.codes_checked;
   *access = AccessMask(code);
-  return rec;
+  return run_.Record(u);
 }
 
 Result<bool> MultiSubjectCursor::FetchCandidate(NodeId cand,
@@ -135,11 +93,11 @@ Result<bool> MultiSubjectCursor::FetchCandidate(NodeId cand,
                                                 NokRecord* rec,
                                                 ClassMask* access) {
   NokStore* nok = store_->nok();
-  if (cand >= nok->num_nodes()) {
+  if (!run_.Holds(cand) && cand >= nok->num_nodes()) {
     return Status::OutOfRange("node id " + std::to_string(cand) +
                               " out of range");
   }
-  size_t ordinal = nok->PageOrdinalOf(cand);
+  size_t ordinal = run_.OrdinalOf(nok, cand);
   if (options_.page_skip && PageWhollyDeadFor(ordinal, live)) {
     // The whole page of postings is dead for every live class; each
     // distinct page counts once no matter how many candidates fall into it.
@@ -154,7 +112,7 @@ Result<bool> MultiSubjectCursor::FetchCandidate(NodeId cand,
 Result<NodeId> MultiSubjectCursor::NextSiblingSkippingDead(
     NodeId u, uint16_t depth, NodeId limit, const ClassMask& live) {
   NokStore* nok = store_->nok();
-  size_t ordinal = nok->PageOrdinalOf(u) + 1;
+  size_t ordinal = run_.OrdinalOf(nok, u) + 1;
   while (ordinal < nok->num_pages()) {
     const NokStore::PageInfo& info = nok->page_infos()[ordinal];
     if (info.first_node >= limit) return kInvalidNode;
@@ -166,19 +124,12 @@ Result<NodeId> MultiSubjectCursor::NextSiblingSkippingDead(
       ++ordinal;
       continue;
     }
-    // Probe this live page for the first node at the sibling depth. One
-    // pin; the scanned records are probes, not yields, so they do not
-    // count toward nodes_scanned.
-    bool miss = false;
-    SECXML_ASSIGN_OR_RETURN(PageHandle handle,
-                            nok->buffer_pool()->Fetch(info.page_id, &miss));
-    if (miss) ++stats_.fetch_waits;
-    for (uint32_t slot = 0; slot < info.num_records; ++slot) {
-      NodeId n = info.first_node + slot;
-      if (n >= limit) break;
-      NokRecord rec = handle.page().ReadAt<NokRecord>(RecordOffset(slot));
-      if (rec.depth == depth) return n;
-    }
+    // Probe this live page for the first node at the sibling depth. The
+    // probed records are not yields, so they do not count toward
+    // nodes_scanned.
+    SECXML_ASSIGN_OR_RETURN(
+        NodeId sibling, run_.FirstAtDepth(nok, ordinal, depth, limit, &stats_));
+    if (sibling != kInvalidNode) return sibling;
     ++ordinal;
   }
   return kInvalidNode;
@@ -203,7 +154,7 @@ Result<bool> MultiSubjectCursor::ChildWalk::Next(NodeId* u, NokRecord* rec,
     // dead for every class still live in this walk.
     if (c_->options_.page_skip) {
       if (n < page_begin_ || n >= page_end_) {
-        page_ordinal_ = nok->PageOrdinalOf(n);
+        page_ordinal_ = c_->run_.OrdinalOf(nok, n);
         const NokStore::PageInfo& info = nok->page_infos()[page_ordinal_];
         page_begin_ = info.first_node;
         page_end_ = info.first_node + info.num_records;
@@ -218,7 +169,7 @@ Result<bool> MultiSubjectCursor::ChildWalk::Next(NodeId* u, NokRecord* rec,
       }
     }
     size_t ordinal =
-        c_->options_.page_skip ? page_ordinal_ : nok->PageOrdinalOf(n);
+        c_->options_.page_skip ? page_ordinal_ : c_->run_.OrdinalOf(nok, n);
     SECXML_ASSIGN_OR_RETURN(*rec, c_->FetchChecked(ordinal, n, access));
     *access &= live_;
     next_ = NokStore::FollowingSibling(n, *rec, parent_end_);

@@ -9,6 +9,7 @@
 #include "core/secure_store.h"
 #include "exec/exec_stats.h"
 #include "exec/mask_ops.h"
+#include "exec/page_run.h"
 #include "nok/nok_format.h"
 #include "nok/nok_store.h"
 
@@ -43,7 +44,11 @@ namespace secxml {
 ///
 /// Zero-extra-I/O holds exactly as for the per-subject cursor: codes are
 /// decoded from the record's own pinned page, so access_only_fetches stays
-/// structurally 0 no matter the batch width.
+/// structurally 0 no matter the batch width. Like SecureCursor it reads a
+/// page run at a time (PageRun): one pin per run of records on a page, held
+/// only between BeginScan and EndScan and dropped before a different page
+/// is fetched, and one validated decode of the page's transition list per
+/// pin, after which each code is a binary search.
 ///
 /// A cursor is single-threaded; the store underneath is the documented
 /// thread-safe read surface. Stats accumulate across scans until the owner
@@ -70,9 +75,13 @@ class MultiSubjectCursor {
   /// and the pin keeps the tables consistent with the pages the scan reads.
   Status Attach();
 
-  /// Begins a fragment-scoped scan: resets the distinct-page dedup map so
-  /// each avoided page counts toward pages_skipped exactly once per scan.
+  /// Begins a fragment-scoped scan: drops any page still held and resets
+  /// the distinct-page dedup map so each avoided page counts toward
+  /// pages_skipped exactly once per scan.
   void BeginScan();
+
+  /// Ends the scan: releases the held page's pin.
+  void EndScan() { run_.Release(); }
 
   size_t num_classes() const { return class_reps_.size(); }
   /// Mask with one bit per class of this batch.
@@ -102,9 +111,11 @@ class MultiSubjectCursor {
   }
 
   /// Secure fetch of node `u` on the page at `ordinal`: record plus the
-  /// whole batch's access verdict from one page pin. The DOL code is
-  /// resolved from the same page (zero extra I/O) and answered for every
-  /// class with one table load (*access is not yet masked by any live set).
+  /// whole batch's access verdict from the held page (fetched first unless
+  /// it is the page already held). The DOL code is resolved from the same
+  /// page (zero extra I/O) and answered for every class with one table load
+  /// (*access is not yet masked by any live set); a malformed transition
+  /// list is kCorruption.
   Result<NokRecord> FetchChecked(size_t ordinal, NodeId u, ClassMask* access);
 
   /// Tag-index candidate screening for the batch: a candidate on a page
@@ -159,9 +170,6 @@ class MultiSubjectCursor {
   const ExecStats& stats() const { return stats_; }
 
  private:
-  /// Pins the page at `ordinal` after validating that it holds `u`;
-  /// counts a fetch wait when the pin required a physical read.
-  Result<PageHandle> PinPage(size_t ordinal, NodeId u);
 
   /// Fills code_mask_[code] with the per-class bits of one codebook entry
   /// (O(classes) point probes, done at most once per distinct code).
@@ -178,6 +186,8 @@ class MultiSubjectCursor {
   std::vector<ClassMask> page_dead_;
   /// Per-scan bitmap of pages already counted as skipped.
   std::vector<char> skip_counted_;
+  /// The page the scan is reading, pinned across its run of records.
+  PageRun run_;
   ExecStats stats_;
 };
 

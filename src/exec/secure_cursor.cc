@@ -4,23 +4,6 @@
 
 namespace secxml {
 
-namespace {
-
-/// Mirror of the store's node-in-page validation: the directory entry is
-/// trusted (in-memory, validated at open), the node id is not — corrupt
-/// subtree_size fields can aim navigation anywhere.
-Status CheckNodeInPage(const NokStore::PageInfo& info, NodeId n) {
-  if (n < info.first_node || n - info.first_node >= info.num_records) {
-    return Status::Corruption("node " + std::to_string(n) +
-                              " lies outside page " +
-                              std::to_string(info.page_id) +
-                              " (corrupt node id or directory)");
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Status SecureCursor::Attach() {
   column_ = BitVector();
   if (options_.secure) {
@@ -30,6 +13,7 @@ Status SecureCursor::Attach() {
 }
 
 void SecureCursor::BeginScan() {
+  run_.Release();
   if (options_.secure && options_.page_skip) {
     skip_counted_.assign(store_->nok()->num_pages(), 0);
   } else {
@@ -45,58 +29,31 @@ void SecureCursor::CountSkippedPage(size_t ordinal) {
   }
 }
 
-Result<PageHandle> SecureCursor::PinPage(size_t ordinal, NodeId u) {
-  NokStore* nok = store_->nok();
-  if (ordinal >= nok->num_pages()) {
-    return Status::Corruption("page ordinal " + std::to_string(ordinal) +
-                              " out of range");
-  }
-  const NokStore::PageInfo& info = nok->page_infos()[ordinal];
-  SECXML_RETURN_NOT_OK(CheckNodeInPage(info, u));
-  bool miss = false;
-  SECXML_ASSIGN_OR_RETURN(PageHandle handle,
-                          nok->buffer_pool()->Fetch(info.page_id, &miss));
-  if (miss) ++stats_.fetch_waits;
-  return handle;
-}
-
 Result<NokRecord> SecureCursor::FetchChecked(size_t ordinal, NodeId u,
                                              bool* accessible) {
-  SECXML_ASSIGN_OR_RETURN(PageHandle handle, PinPage(ordinal, u));
-  const NokStore::PageInfo& info = store_->nok()->page_infos()[ordinal];
-  uint32_t slot = u - info.first_node;
-  NokRecord rec = handle.page().ReadAt<NokRecord>(RecordOffset(slot));
+  SECXML_RETURN_NOT_OK(run_.HoldNode(store_->nok(), ordinal, u, &stats_));
   ++stats_.nodes_scanned;
   // The code lives in u's own page (Section 3.3), so resolving it costs no
-  // additional I/O: same pin, a transition walk at worst.
-  uint32_t code = info.first_code;
-  if (info.change_bit && slot > 0) {
-    NokPageHeader header = handle.page().ReadAt<NokPageHeader>(0);
-    SECXML_RETURN_NOT_OK(CheckOnDiskHeader(header, info.page_id));
-    for (uint32_t i = 0; i < header.num_transitions; ++i) {
-      DolTransition t =
-          handle.page().ReadAt<DolTransition>(TransitionOffset(i));
-      if (t.slot > slot) break;
-      code = t.code;
-    }
-  }
+  // additional I/O: the held pin, a binary search at worst.
+  uint32_t code;
+  SECXML_RETURN_NOT_OK(run_.Code(u, &code));
   ++stats_.codes_checked;
   *accessible = CodeAccessible(code);
-  return rec;
+  return run_.Record(u);
 }
 
 Result<NokRecord> SecureCursor::Fetch(NodeId u) {
   NokStore* nok = store_->nok();
-  if (u >= nok->num_nodes()) {
-    return Status::OutOfRange("node id " + std::to_string(u) +
-                              " out of range");
+  if (!run_.Holds(u)) {
+    if (u >= nok->num_nodes()) {
+      return Status::OutOfRange("node id " + std::to_string(u) +
+                                " out of range");
+    }
+    SECXML_RETURN_NOT_OK(
+        run_.HoldNode(nok, nok->PageOrdinalOf(u), u, &stats_));
   }
-  size_t ordinal = nok->PageOrdinalOf(u);
-  SECXML_ASSIGN_OR_RETURN(PageHandle handle, PinPage(ordinal, u));
-  const NokStore::PageInfo& info = nok->page_infos()[ordinal];
   ++stats_.nodes_scanned;
-  return handle.page().ReadAt<NokRecord>(
-      RecordOffset(u - info.first_node));
+  return run_.Record(u);
 }
 
 Result<bool> SecureCursor::FetchCandidate(NodeId cand, NokRecord* rec,
@@ -106,7 +63,7 @@ Result<bool> SecureCursor::FetchCandidate(NodeId cand, NokRecord* rec,
     SECXML_ASSIGN_OR_RETURN(*rec, Fetch(cand));
     return true;
   }
-  size_t ordinal = store_->nok()->PageOrdinalOf(cand);
+  size_t ordinal = run_.OrdinalOf(store_->nok(), cand);
   if (options_.page_skip && PageWhollyDead(ordinal)) {
     // The whole page of postings is dead; each distinct page counts once
     // toward pages_skipped no matter how many candidates fall into it.
@@ -120,7 +77,7 @@ Result<bool> SecureCursor::FetchCandidate(NodeId cand, NokRecord* rec,
 Result<NodeId> SecureCursor::NextSiblingSkippingDead(NodeId u, uint16_t depth,
                                                      NodeId limit) {
   NokStore* nok = store_->nok();
-  size_t ordinal = nok->PageOrdinalOf(u) + 1;
+  size_t ordinal = run_.OrdinalOf(nok, u) + 1;
   while (ordinal < nok->num_pages()) {
     const NokStore::PageInfo& info = nok->page_infos()[ordinal];
     if (info.first_node >= limit) return kInvalidNode;
@@ -132,19 +89,12 @@ Result<NodeId> SecureCursor::NextSiblingSkippingDead(NodeId u, uint16_t depth,
       ++ordinal;
       continue;
     }
-    // Probe this live page for the first node at the sibling depth. One
-    // pin; the scanned records are probes, not yields, so they do not
-    // count toward nodes_scanned.
-    bool miss = false;
-    SECXML_ASSIGN_OR_RETURN(PageHandle handle,
-                            nok->buffer_pool()->Fetch(info.page_id, &miss));
-    if (miss) ++stats_.fetch_waits;
-    for (uint32_t slot = 0; slot < info.num_records; ++slot) {
-      NodeId n = info.first_node + slot;
-      if (n >= limit) break;
-      NokRecord rec = handle.page().ReadAt<NokRecord>(RecordOffset(slot));
-      if (rec.depth == depth) return n;
-    }
+    // Probe this live page for the first node at the sibling depth. The
+    // probed records are not yields, so they do not count toward
+    // nodes_scanned.
+    SECXML_ASSIGN_OR_RETURN(
+        NodeId sibling, run_.FirstAtDepth(nok, ordinal, depth, limit, &stats_));
+    if (sibling != kInvalidNode) return sibling;
     ++ordinal;
   }
   return kInvalidNode;
@@ -167,7 +117,7 @@ Result<bool> SecureCursor::ChildWalk::Next(NodeId* u, NokRecord* rec,
     // touching n's page.
     if (opts.secure && opts.page_skip) {
       if (n < page_begin_ || n >= page_end_) {
-        page_ordinal_ = nok->PageOrdinalOf(n);
+        page_ordinal_ = c_->run_.OrdinalOf(nok, n);
         const NokStore::PageInfo& info = nok->page_infos()[page_ordinal_];
         page_begin_ = info.first_node;
         page_end_ = info.first_node + info.num_records;
@@ -185,7 +135,7 @@ Result<bool> SecureCursor::ChildWalk::Next(NodeId* u, NokRecord* rec,
       // With page skipping on, the ordinal is the one cached by the verdict
       // check above.
       size_t ordinal =
-          opts.page_skip ? page_ordinal_ : nok->PageOrdinalOf(n);
+          opts.page_skip ? page_ordinal_ : c_->run_.OrdinalOf(nok, n);
       SECXML_ASSIGN_OR_RETURN(*rec, c_->FetchChecked(ordinal, n, accessible));
     } else {
       SECXML_ASSIGN_OR_RETURN(*rec, c_->Fetch(n));
@@ -198,13 +148,12 @@ Result<bool> SecureCursor::ChildWalk::Next(NodeId* u, NokRecord* rec,
 }
 
 PageSweep::PageSweep(NokStore* nok, std::function<bool(size_t)> skip,
-                     ExecStats* stats, bool bounded_window)
+                     ExecStats* stats)
     : nok_(nok),
       ra_(nok->readahead()),
       window_(nok->readahead_window()),
       skip_(std::move(skip)),
-      stats_(stats),
-      bounded_window_(bounded_window) {}
+      stats_(stats) {}
 
 PageSweep::~PageSweep() {
   // No background fetch may outlive the sweep that issued it (the
@@ -217,7 +166,6 @@ void PageSweep::PrefetchFrom(size_t ordinal) {
   if (prefetch_cursor_ < ordinal + 1) prefetch_cursor_ = ordinal + 1;
   size_t issued = 0;
   while (issued < window_ && prefetch_cursor_ < nok_->num_pages()) {
-    if (bounded_window_ && prefetch_cursor_ > ordinal + window_) break;
     size_t ord = prefetch_cursor_++;
     if (skip_ && skip_(ord)) continue;
     ra_->Request(nok_->page_infos()[ord].page_id);
@@ -236,26 +184,6 @@ Result<PageHandle> PageSweep::Fetch(size_t ordinal) {
       nok_->buffer_pool()->Fetch(nok_->page_infos()[ordinal].page_id, &miss));
   if (miss && stats_ != nullptr) ++stats_->fetch_waits;
   return handle;
-}
-
-PageCodeWalker::PageCodeWalker(const Page& page, const NokPageHeader& header)
-    : page_(&page), header_(header), code_(header.first_code) {
-  if (next_transition_ < header_.num_transitions) {
-    pending_ =
-        page_->ReadAt<DolTransition>(TransitionOffset(next_transition_));
-  }
-}
-
-uint32_t PageCodeWalker::CodeFor(uint32_t slot) {
-  while (next_transition_ < header_.num_transitions && pending_.slot <= slot) {
-    code_ = pending_.code;
-    ++next_transition_;
-    if (next_transition_ < header_.num_transitions) {
-      pending_ =
-          page_->ReadAt<DolTransition>(TransitionOffset(next_transition_));
-    }
-  }
-  return code_;
 }
 
 }  // namespace secxml

@@ -9,18 +9,23 @@
 #include "common/status.h"
 #include "core/secure_store.h"
 #include "exec/exec_stats.h"
+#include "exec/page_run.h"
 #include "nok/nok_format.h"
 #include "nok/nok_store.h"
 
 namespace secxml {
 
 /// The one secure scan primitive of the execution layer. A SecureCursor owns
-/// the full ε-NoK access pipeline over NoK document-order pages:
+/// the full ε-NoK access pipeline over NoK document-order pages, one page
+/// run at a time:
 ///
-///   fetch (one buffer-pool pin per record, miss counted as a fetch wait)
+///   fetch (one buffer-pool pin per page run: the cursor keeps the page it
+///     last read pinned while the next records fall on it, and a miss counts
+///     as a fetch wait; see PageRun)
 ///     → DOL code decode (from the record's own page — never a second fetch,
 ///       which is the paper's zero-extra-I/O property, kept honest by the
-///       `access_only_fetches` counter staying 0)
+///       `access_only_fetches` counter staying 0; the page's transition list
+///       is validated once per pin, then each code is a binary search)
 ///     → ACCESS check (one bit test against the subject's codebook column,
 ///       snapshotted at Attach)
 ///     → dead-page skip (pages whose in-memory header proves them wholly
@@ -34,14 +39,19 @@ namespace secxml {
 ///    verdicts consulted before each page is touched;
 ///  - tag-index-driven: FetchCandidate screens tag-posting candidates
 ///    against page verdicts before fetching;
-///  - page-scoped: PageSweep + PageCodeWalker iterate whole pages for the
-///    sequential consumers (hidden-interval sweep, codebook compaction).
+///  - page-scoped: PageSweep + PageCodeWalker (nok/nok_format.h) iterate
+///    whole pages for the sequential consumers (hidden-interval sweep).
 ///
 /// Every consumer of secure record access — the NoK matcher, the structural
 /// join's input scans, the visibility sweep, the stream filter (via
 /// LabelStreamCursor) — goes through this layer; direct
 /// NokStore/Codebook probing outside it is linted away
 /// (scripts/check_no_direct_fetch.sh).
+///
+/// A scan runs from BeginScan to EndScan (ScopedScan brackets both): the
+/// cursor holds at most one pin, only inside a scan, and drops it before it
+/// fetches a different page (DESIGN.md §6). Scans run under the caller's
+/// SnapshotPin, which must outlive them.
 ///
 /// A cursor is single-threaded (each QueryDriver worker owns its own); the
 /// store underneath is the documented thread-safe read surface. Stats
@@ -67,15 +77,20 @@ class SecureCursor {
   /// InvalidArgument for an unknown subject.
   Status Attach();
 
-  /// Begins a fragment-scoped scan: resets the distinct-page dedup map so
-  /// each avoided page counts toward pages_skipped exactly once per scan.
+  /// Begins a fragment-scoped scan: drops any page still held and resets
+  /// the distinct-page dedup map so each avoided page counts toward
+  /// pages_skipped exactly once per scan.
   void BeginScan();
+
+  /// Ends the scan: releases the held page's pin.
+  void EndScan() { run_.Release(); }
 
   // --- Node-at-a-time access -------------------------------------------
 
   /// Secure fetch of node `u` on the page at `ordinal`: record and access
-  /// verdict from one page pin. The code is resolved from the same page and
-  /// probed (codes_checked).
+  /// verdict from the held page (fetched first unless it is the page
+  /// already held). The code is resolved from the same page and probed
+  /// (codes_checked); a malformed transition list is kCorruption.
   Result<NokRecord> FetchChecked(size_t ordinal, NodeId u, bool* accessible);
 
   /// Non-secure record fetch (plain NoK scan).
@@ -145,12 +160,11 @@ class SecureCursor {
   const ExecStats& stats() const { return stats_; }
 
  private:
-  /// Pins the page at `ordinal` after validating that it holds `u`;
-  /// counts a fetch wait when the pin required a physical read.
-  Result<PageHandle> PinPage(size_t ordinal, NodeId u);
 
   SecureStore* store_;
   Options options_;
+  /// The page the scan is reading, pinned across its run of records.
+  PageRun run_;
   /// The subject's codebook column at Attach (empty when not secure).
   BitVector column_;
   /// Per-scan bitmap of pages already counted as skipped.
@@ -159,20 +173,18 @@ class SecureCursor {
 };
 
 /// Sequential document-order page sweep with background readahead: the
-/// page-scoped iteration mode shared by the hidden-interval sweep and
-/// codebook compaction. Prefetch requests stream
-/// through the store's Readahead (when configured) so device latency
-/// overlaps the per-page computation; the destructor drains every in-flight
-/// fetch, preserving the no-overlap-with-exclusive-updates contract.
+/// page-scoped iteration mode of the hidden-interval sweep. Prefetch
+/// requests stream through the store's Readahead (when configured) so
+/// device latency overlaps the per-page computation; the destructor drains
+/// every in-flight fetch, preserving the no-overlap-with-exclusive-updates
+/// contract.
 class PageSweep {
  public:
   /// Pages for which `skip` returns true are not prefetched (the consumer
-  /// will not fetch them either). `bounded_window` caps the prefetch cursor
-  /// at `ordinal + window` (used by in-place rewriters so prefetching never
-  /// runs far ahead of pages that may still change); unbounded mode issues
-  /// up to `window` not-skipped pages per PrefetchFrom call.
-  PageSweep(NokStore* nok, std::function<bool(size_t)> skip, ExecStats* stats,
-            bool bounded_window = false);
+  /// will not fetch them either); each PrefetchFrom call issues up to
+  /// `window` not-skipped pages.
+  PageSweep(NokStore* nok, std::function<bool(size_t)> skip,
+            ExecStats* stats);
   ~PageSweep();
 
   PageSweep(const PageSweep&) = delete;
@@ -191,37 +203,7 @@ class PageSweep {
   size_t window_;
   std::function<bool(size_t)> skip_;
   ExecStats* stats_;
-  bool bounded_window_;
   size_t prefetch_cursor_ = 0;
-};
-
-/// Decodes one pinned page: walks its records in slot order, resolving each
-/// slot's DOL code from the embedded transition list in O(1) amortized (the
-/// decode step of the cursor pipeline, exposed for page-scoped consumers).
-/// Slots passed to CodeFor must ascend.
-class PageCodeWalker {
- public:
-  /// `header` must be the page's validated on-disk header (CheckOnDiskHeader).
-  PageCodeWalker(const Page& page, const NokPageHeader& header);
-
-  /// DOL code in effect at `slot`.
-  uint32_t CodeFor(uint32_t slot);
-
-  NokRecord RecordAt(uint32_t slot) const {
-    return page_->ReadAt<NokRecord>(RecordOffset(slot));
-  }
-
-  uint32_t num_transitions() const { return header_.num_transitions; }
-  DolTransition TransitionAt(uint32_t i) const {
-    return page_->ReadAt<DolTransition>(TransitionOffset(i));
-  }
-
- private:
-  const Page* page_;
-  NokPageHeader header_;
-  uint32_t code_;
-  uint32_t next_transition_ = 0;
-  DolTransition pending_{};
 };
 
 }  // namespace secxml

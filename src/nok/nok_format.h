@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 
+#include "common/result.h"
 #include "common/status.h"
 #include "storage/page.h"
 #include "xml/document.h"
@@ -114,6 +115,99 @@ inline Status CheckOnDiskHeader(const NokPageHeader& header, PageId page_id) {
   }
   return Status::OK();
 }
+
+/// The one decoder of a page's embedded DOL access region (Section 3.3):
+/// the scan cursors, NokStore's point lookups and the page-scoped sweeps
+/// all resolve a slot's code through it. Decode validates the region once
+/// per pinned page — CheckOnDiskHeader, then transition slots strictly
+/// ascending within (0, num_records), the invariant SetPageAcl enforces on
+/// write — so each lookup after it is a binary search over the list. A
+/// corrupt, unsorted list is kCorruption rather than a plausible wrong code.
+/// (A list that is still sorted but carries wrong codes is not detectable
+/// here; that needs a per-page checksum.)
+///
+/// Reads the page in place: the decoder is valid while the pin on `page`
+/// that it was decoded from is held.
+class PageCodes {
+ public:
+  PageCodes() = default;
+
+  static Result<PageCodes> Decode(const Page& page, PageId page_id) {
+    NokPageHeader header = page.ReadAt<NokPageHeader>(0);
+    SECXML_RETURN_NOT_OK(CheckOnDiskHeader(header, page_id));
+    PageCodes codes(page, header);
+    uint32_t prev = 0;
+    for (uint32_t i = 0; i < header.num_transitions; ++i) {
+      uint32_t slot = codes.TransitionAt(i).slot;
+      if (slot <= prev || slot >= header.num_records) {
+        return Status::Corruption(
+            "corrupt transition list on page " + std::to_string(page_id) +
+            ": entry " + std::to_string(i) + " at slot " +
+            std::to_string(slot) + " is not ascending within (0, " +
+            std::to_string(header.num_records) + ")");
+      }
+      prev = slot;
+    }
+    return codes;
+  }
+
+  /// DOL code in effect at `slot`: the last transition at or before it,
+  /// else the page's first code. O(log T).
+  uint32_t CodeAt(uint32_t slot) const {
+    uint32_t lo = 0, hi = header_.num_transitions;
+    while (lo < hi) {
+      uint32_t mid = (lo + hi) / 2;
+      if (TransitionAt(mid).slot <= slot) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo == 0 ? header_.first_code : TransitionAt(lo - 1).code;
+  }
+
+  NokRecord RecordAt(uint32_t slot) const {
+    return page_->ReadAt<NokRecord>(RecordOffset(slot));
+  }
+
+  const NokPageHeader& header() const { return header_; }
+  uint32_t num_transitions() const { return header_.num_transitions; }
+  DolTransition TransitionAt(uint32_t i) const {
+    return page_->ReadAt<DolTransition>(TransitionOffset(i));
+  }
+
+ private:
+  PageCodes(const Page& page, const NokPageHeader& header)
+      : page_(&page), header_(header) {}
+
+  const Page* page_ = nullptr;
+  NokPageHeader header_{};
+};
+
+/// Walks a decoded page's slots in ascending order, resolving each slot's
+/// code in O(1) amortized: the whole-page form of PageCodes::CodeAt for the
+/// sequential consumers (the hidden-interval sweep, page rewrites).
+class PageCodeWalker {
+ public:
+  explicit PageCodeWalker(const PageCodes& codes)
+      : codes_(&codes), code_(codes.header().first_code) {}
+
+  /// DOL code in effect at `slot`. Slots passed in must ascend.
+  uint32_t CodeFor(uint32_t slot) {
+    while (next_ < codes_->num_transitions()) {
+      DolTransition t = codes_->TransitionAt(next_);
+      if (t.slot > slot) break;
+      code_ = t.code;
+      ++next_;
+    }
+    return code_;
+  }
+
+ private:
+  const PageCodes* codes_;
+  uint32_t code_;
+  uint32_t next_ = 0;
+};
 
 }  // namespace secxml
 

@@ -517,11 +517,6 @@ void NokStore::SetReadahead(size_t window, size_t workers) {
   }
 }
 
-namespace {
-
-/// Validates that node `n` lies inside the page described by `info`; the
-/// directory entry is trusted (in-memory, validated at open), the node id
-/// is not — corrupt subtree_size fields can aim navigation anywhere.
 Status CheckNodeInPage(const NokStore::PageInfo& info, NodeId n) {
   if (n < info.first_node || n - info.first_node >= info.num_records) {
     return Status::Corruption("node " + std::to_string(n) +
@@ -531,8 +526,6 @@ Status CheckNodeInPage(const NokStore::PageInfo& info, NodeId n) {
   }
   return Status::OK();
 }
-
-}  // namespace
 
 NodeId NokStore::num_nodes() const { return read_state().num_nodes; }
 
@@ -610,15 +603,10 @@ Status NokStore::RecordAndCodeInPage(size_t ordinal, NodeId n,
   uint32_t slot = n - info.first_node;
   *record = handle.page().ReadAt<NokRecord>(RecordOffset(slot));
   *code = info.first_code;
-  if (info.change_bit && slot > 0) {
-    NokPageHeader header = handle.page().ReadAt<NokPageHeader>(0);
-    SECXML_RETURN_NOT_OK(CheckOnDiskHeader(header, info.page_id));
-    for (uint32_t i = 0; i < header.num_transitions; ++i) {
-      DolTransition t =
-          handle.page().ReadAt<DolTransition>(TransitionOffset(i));
-      if (t.slot > slot) break;
-      *code = t.code;
-    }
+  if (info.change_bit) {
+    SECXML_ASSIGN_OR_RETURN(PageCodes codes,
+                            PageCodes::Decode(handle.page(), info.page_id));
+    *code = codes.CodeAt(slot);
   }
   return Status::OK();
 }
@@ -636,16 +624,9 @@ Result<uint32_t> NokStore::AccessCode(NodeId n) {
   // this is the in-memory-header fast path of Section 3.3.
   if (!info.change_bit || slot == 0) return info.first_code;
   SECXML_ASSIGN_OR_RETURN(PageHandle handle, pool_.Fetch(info.page_id));
-  NokPageHeader header = handle.page().ReadAt<NokPageHeader>(0);
-  SECXML_RETURN_NOT_OK(CheckOnDiskHeader(header, info.page_id));
-  uint32_t code = header.first_code;
-  // Transitions are slot-ascending; take the last one at or before `slot`.
-  for (uint32_t i = 0; i < header.num_transitions; ++i) {
-    DolTransition t = handle.page().ReadAt<DolTransition>(TransitionOffset(i));
-    if (t.slot > slot) break;
-    code = t.code;
-  }
-  return code;
+  SECXML_ASSIGN_OR_RETURN(PageCodes codes,
+                          PageCodes::Decode(handle.page(), info.page_id));
+  return codes.CodeAt(slot);
 }
 
 const std::vector<NodeId>& NokStore::Postings(TagId tag) const {
@@ -680,12 +661,12 @@ Result<std::vector<DolTransition>> NokStore::PageTransitions(size_t ordinal) {
   }
   SECXML_ASSIGN_OR_RETURN(PageHandle handle,
                           pool_.Fetch(pages[ordinal].page_id));
-  NokPageHeader header = handle.page().ReadAt<NokPageHeader>(0);
-  SECXML_RETURN_NOT_OK(CheckOnDiskHeader(header, pages[ordinal].page_id));
+  SECXML_ASSIGN_OR_RETURN(
+      PageCodes codes, PageCodes::Decode(handle.page(), pages[ordinal].page_id));
   std::vector<DolTransition> result;
-  result.reserve(header.num_transitions);
-  for (uint32_t i = 0; i < header.num_transitions; ++i) {
-    result.push_back(handle.page().ReadAt<DolTransition>(TransitionOffset(i)));
+  result.reserve(codes.num_transitions());
+  for (uint32_t i = 0; i < codes.num_transitions(); ++i) {
+    result.push_back(codes.TransitionAt(i));
   }
   return result;
 }
@@ -832,25 +813,14 @@ Status NokStore::ReadPageContents(size_t ordinal,
   }
   const PageInfo& info = pages[ordinal];
   SECXML_ASSIGN_OR_RETURN(PageHandle handle, pool_.Fetch(info.page_id));
-  NokPageHeader header = handle.page().ReadAt<NokPageHeader>(0);
+  SECXML_ASSIGN_OR_RETURN(PageCodes page_codes,
+                          PageCodes::Decode(handle.page(), info.page_id));
   records->clear();
   codes->clear();
-  uint32_t code = header.first_code;
-  uint32_t next = 0;
-  DolTransition trans{};
-  if (next < header.num_transitions) {
-    trans = handle.page().ReadAt<DolTransition>(TransitionOffset(next));
-  }
-  for (uint32_t slot = 0; slot < header.num_records; ++slot) {
-    if (next < header.num_transitions && trans.slot == slot) {
-      code = trans.code;
-      ++next;
-      if (next < header.num_transitions) {
-        trans = handle.page().ReadAt<DolTransition>(TransitionOffset(next));
-      }
-    }
-    records->push_back(handle.page().ReadAt<NokRecord>(RecordOffset(slot)));
-    codes->push_back(code);
+  PageCodeWalker walker(page_codes);
+  for (uint32_t slot = 0; slot < page_codes.header().num_records; ++slot) {
+    records->push_back(page_codes.RecordAt(slot));
+    codes->push_back(walker.CodeFor(slot));
   }
   return Status::OK();
 }

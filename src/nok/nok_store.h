@@ -462,6 +462,13 @@ inline PageVerdict ClassifyPage(const NokStore::PageInfo& info,
   return first_code_accessible ? PageVerdict::kLive : PageVerdict::kDead;
 }
 
+/// Validates that node `n` lies inside the page described by `info`: the
+/// directory entry is trusted (in-memory, validated at open), the node id
+/// is not — corrupt subtree_size fields can aim navigation anywhere. The
+/// one node-in-page check shared by NokStore's page-scoped lookups and the
+/// scan cursors.
+Status CheckNodeInPage(const NokStore::PageInfo& info, NodeId n);
+
 }  // namespace secxml
 
 #endif  // SECXML_NOK_NOK_STORE_H_

@@ -262,7 +262,9 @@ Status MultiSubjectMatcher::MatchFragment(const QueryFragment& fragment,
     SECXML_RETURN_NOT_OK(cursor_.Attach());
     attached_ = true;
   }
-  cursor_.BeginScan();
+  // The guard ends the scan on every exit, errors included, so the
+  // cursor's held page pin never outlives this call.
+  ScopedScan<MultiSubjectCursor> scan(&cursor_);
   mark_stack_.clear();
 
   // Resolve pattern tags once (identical to NokMatcher).

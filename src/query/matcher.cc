@@ -163,8 +163,8 @@ Result<bool> NokMatcher::Npm(int pnode, NodeId sroot, const NokRecord& srec,
   for (int s : pchildren) has_collectors |= resolved_[s].contains_designated;
   if (!pchildren.empty()) {
     // The cursor's child walk owns the ε-NoK mechanics — page verdicts
-    // before each page is touched, dead-run jumps, one fetch per record
-    // with the ACCESS check resolved from the same page.
+    // before each page is touched, dead-run jumps, one fetch per page run
+    // with each ACCESS check resolved from the held page.
     SecureCursor::ChildWalk walk(&cursor_, sroot, srec);
     NodeId u = kInvalidNode;
     NokRecord urec;
@@ -206,11 +206,13 @@ Status NokMatcher::MatchFragment(const QueryFragment& fragment,
   SECXML_RETURN_NOT_OK(fragment.tree.Validate());
   NokStore* nok = store_->nok();
 
-  // Snapshot the subject's column for this evaluation and reset the
-  // cursor's per-scan skipped-page dedup map; the rollback-marks stack may
-  // hold stale frames after an aborted earlier call.
+  // Snapshot the subject's column for this evaluation and open the
+  // cursor's scan (fresh skipped-page dedup map); the guard ends it on
+  // every exit, errors included, so the cursor's held page pin never
+  // outlives this call. The rollback-marks stack may hold stale frames
+  // after an aborted earlier call.
   SECXML_RETURN_NOT_OK(cursor_.Attach());
-  cursor_.BeginScan();
+  ScopedScan<SecureCursor> scan(&cursor_);
   mark_stack_.clear();
 
   // Resolve pattern tags once.

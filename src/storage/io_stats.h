@@ -34,7 +34,10 @@ struct IoStatsSnapshot {
 struct IoStats {
   std::atomic<uint64_t> page_reads{0};
   std::atomic<uint64_t> page_writes{0};
-  /// Buffer-pool hits that avoided a physical read.
+  /// Buffer-pool fetches that found their page resident (no physical
+  /// read). This counts pool calls: the scan cursors fetch once per page
+  /// run rather than per record (DESIGN.md §6), so on the scan path it
+  /// counts page runs.
   std::atomic<uint64_t> cache_hits{0};
   /// Page loads avoided entirely via the in-memory DOL page headers
   /// (Section 3.3's "skip fully inaccessible page" optimization).
