@@ -70,14 +70,14 @@ int main(int argc, char** argv) {
     // document-order pass over the store.
     auto hidden = store->HiddenSubtreeIntervals(s);
     if (!hidden.ok()) return 1;
+    const std::vector<NodeInterval>& list = **hidden;
     size_t hidden_nodes = 0;
-    for (const NodeInterval& iv : *hidden) hidden_nodes += iv.end - iv.begin;
+    for (const NodeInterval& iv : list) hidden_nodes += iv.end - iv.begin;
 
     // Serialize the subscriber's view (WriteXmlFiltered prunes subtrees).
     // The writer does not visit nodes strictly in document order (it scans
     // a node's children for attributes first), so use a stateless binary
     // search over the hidden intervals.
-    const std::vector<NodeInterval>& list = *hidden;
     auto visible = [&list](NodeId x) {
       size_t lo = 0, hi = list.size();
       while (lo < hi) {
@@ -94,7 +94,7 @@ int main(int argc, char** argv) {
     std::printf("%-14s sees %6u of %u nodes (%zu pruned); view is %zu "
                 "bytes of XML across %zu hidden region(s)\n", names[s],
                 n - static_cast<uint32_t>(hidden_nodes), n, hidden_nodes,
-                view.size(), hidden->size());
+                view.size(), list.size());
   }
 
   // A new subscriber class can be added without touching any page: clone

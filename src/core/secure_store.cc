@@ -964,8 +964,8 @@ const BitVector* SecureStore::CachedColumnLocked(const Codebook& cb,
   return &column_cache_.emplace(subject, cb.Column(subject)).first->second;
 }
 
-Result<std::vector<NodeInterval>> SecureStore::HiddenSubtreeIntervals(
-    SubjectId subject, ExecStats* stats) {
+Result<std::shared_ptr<const std::vector<NodeInterval>>>
+SecureStore::HiddenSubtreeIntervals(SubjectId subject, ExecStats* stats) {
   SnapshotPin pin(this);
   const Codebook& cb = codebook();
   if (subject >= cb.num_subjects()) {
@@ -981,8 +981,10 @@ Result<std::vector<NodeInterval>> SecureStore::HiddenSubtreeIntervals(
   // Sweep unlocked: a commit's MaintainCaches takes this mutex under
   // snapshot_mu_, so holding it across the sweep's page I/O would stall
   // the commit, and every new SnapshotPin behind it, on a reader's reads.
-  SECXML_ASSIGN_OR_RETURN(std::vector<NodeInterval> hidden,
+  SECXML_ASSIGN_OR_RETURN(std::vector<NodeInterval> swept,
                           ComputeHiddenSubtreeIntervals(subject, stats));
+  auto hidden =
+      std::make_shared<const std::vector<NodeInterval>>(std::move(swept));
   std::lock_guard<std::mutex> lock(hidden_cache_mu_);
   // Keep the answer only if no commit moved the cache past the pinned
   // epoch during the sweep (a racing sweep may have inserted it already).

@@ -355,7 +355,9 @@ class SecureStore {
   /// concurrent callers. The sweep runs without holding the cache mutex,
   /// and its result is kept only if no commit moved the cache past the
   /// caller's epoch meanwhile; a pinned caller at an older epoch computes
-  /// from its snapshot without polluting the cache.
+  /// from its snapshot without polluting the cache. The intervals are
+  /// immutable and shared with the cache, so a hit copies nothing; the
+  /// returned pointer keeps them alive after a commit drops the entry.
   ///
   /// With a non-null `stats`, a cache miss's sweep counts its work there
   /// (nodes_scanned per probed slot, codes_checked per ACCESS probe,
@@ -363,8 +365,8 @@ class SecureStore {
   /// nothing. The sweep never counts pages_skipped: skipped-page accounting
   /// belongs to the matcher's cursor, keeping EvalResult.exec.pages_skipped
   /// equal to the IoStats::pages_skipped delta of the evaluation.
-  Result<std::vector<NodeInterval>> HiddenSubtreeIntervals(
-      SubjectId subject, ExecStats* stats = nullptr);
+  Result<std::shared_ptr<const std::vector<NodeInterval>>>
+  HiddenSubtreeIntervals(SubjectId subject, ExecStats* stats = nullptr);
 
   /// `subject`'s codebook column under the calling thread's snapshot
   /// (Codebook::Column: bit e is the subject's access under entry e) — the
@@ -515,7 +517,9 @@ class SecureStore {
   // Neither mutex is held across page I/O.
   std::mutex hidden_cache_mu_;
   EpochManager::Epoch hidden_cache_epoch_ = 1;
-  std::unordered_map<SubjectId, std::vector<NodeInterval>> hidden_cache_;
+  std::unordered_map<SubjectId,
+                     std::shared_ptr<const std::vector<NodeInterval>>>
+      hidden_cache_;
   std::mutex column_cache_mu_;
   EpochManager::Epoch column_cache_epoch_ = 1;
   std::unordered_map<SubjectId, BitVector> column_cache_;

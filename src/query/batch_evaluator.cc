@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <deque>
+#include <memory>
 #include <unordered_map>
 
 #include "core/codebook.h"
-#include "query/batch_matcher.h"
+#include "query/batch_join.h"
 
 namespace secxml {
 
@@ -23,64 +24,70 @@ ExecStats BatchCounters(size_t subjects, size_t classes) {
   return s;
 }
 
-}  // namespace
-
-Status FinalizeClassEval(SecureStore* store, const PreparedQuery& pq,
-                         const EvalOptions& options, SubjectId representative,
-                         std::vector<std::vector<FragmentMatch>>* matches,
-                         EvalResult* r) {
+/// Finalizes one scanned chunk: fetches each class's hidden intervals (view
+/// semantics, from `store`'s per-epoch cache — a class's intervals are its
+/// representative's), runs the one mask join, and fills `out[k]` for class
+/// k with its answers, fragment_matches and operators. The first class
+/// takes `shared_ops` and the join's work; the others an empty "scan" and
+/// "join". The caller appends the batch and cache operators.
+Status FinalizeChunk(SecureStore* store, const PreparedQuery& pq,
+                     const EvalOptions& options,
+                     const std::vector<SubjectId>& reps,
+                     const std::vector<std::vector<BatchFragmentMatch>>& matches,
+                     std::vector<OperatorStats> shared_ops,
+                     std::span<EvalResult* const> out) {
+  const size_t width = reps.size();
+  std::vector<ExecStats> vis_stats;
+  std::vector<std::shared_ptr<const std::vector<NodeInterval>>> hidden;
+  std::vector<const std::vector<NodeInterval>*> hidden_of;
   if (options.semantics == AccessSemantics::kView) {
-    // Hidden intervals are a function of the codebook column, so the
-    // representative's intervals are every member's.
-    ExecStats vis_stats;
-    SECXML_ASSIGN_OR_RETURN(
-        std::vector<NodeInterval> hidden,
-        store->HiddenSubtreeIntervals(representative, &vis_stats));
-    FilterMatchesVisible(hidden, matches, &vis_stats);
-    r->operators.push_back({"visibility", vis_stats});
+    vis_stats.resize(width);
+    hidden.reserve(width);
+    hidden_of.reserve(width);
+    for (size_t k = 0; k < width; ++k) {
+      SECXML_ASSIGN_OR_RETURN(
+          std::shared_ptr<const std::vector<NodeInterval>> intervals,
+          store->HiddenSubtreeIntervals(reps[k], &vis_stats[k]));
+      hidden_of.push_back(intervals.get());
+      hidden.push_back(std::move(intervals));
+    }
   }
-  ExecStats join_stats;
-  JoinMatches(pq, *matches, &r->answers, &join_stats);
-  r->operators.push_back({"join", join_stats});
+
+  BatchJoinResult joined = JoinBatchMatches(pq, matches, width, hidden_of);
+  for (size_t k = 0; k < width; ++k) {
+    EvalResult& r = *out[k];
+    r.fragment_matches = joined.fragment_matches[k];
+    if (k == 0) {
+      r.operators = std::move(shared_ops);
+    } else {
+      r.operators.push_back({"scan", ExecStats()});
+    }
+    if (options.semantics == AccessSemantics::kView) {
+      // The class's filter checked each of its roots, as the per-subject
+      // evaluator's does.
+      vis_stats[k].nodes_scanned += joined.fragment_matches[k];
+      r.operators.push_back({"visibility", vis_stats[k]});
+    }
+    r.operators.push_back({"join", k == 0 ? joined.join : ExecStats()});
+    r.answers = std::move(joined.answers[k]);
+  }
   return Status::OK();
 }
 
-Result<SubjectBatchResult> BatchEvaluator::Evaluate(
-    const PatternTree& pattern, std::span<const SubjectId> subjects,
-    const EvalOptions& options) {
-  if (subjects.empty()) {
-    return Status::InvalidArgument("batch evaluation needs subjects");
-  }
-  // One pin covers the whole batch; the nested QueryEvaluator (kNone path)
-  // and every chunk below adopt this snapshot, so all classes answer
-  // against the same epoch.
-  SecureStore::SnapshotPin pin(store_);
-  SubjectBatchResult batch;
+}  // namespace
 
-  // Without access control every subject sees the whole document: the batch
-  // is one equivalence class, evaluated once by the per-subject path
-  // (through the caches when attached — the key's class half is {0,0}).
-  if (options.semantics == AccessSemantics::kNone) {
-    QueryEvaluator eval(store_);
-    SECXML_ASSIGN_OR_RETURN(
-        EvalResult r,
-        EvaluateWithCaches(store_, &eval, pattern, options, caches_));
-    r.operators.push_back({"batch", BatchCounters(subjects.size(), 1)});
-    r.exec = RollUp(r.operators);
-    ClassEvalResult cls;
-    cls.subjects.assign(subjects.begin(), subjects.end());
-    cls.result = std::move(r);
-    batch.classes.push_back(std::move(cls));
-    batch.class_of.assign(subjects.size(), 0);
-    batch.exec = batch.classes[0].result.exec;
-    return batch;
-  }
+Result<SubjectBatchResult> EvaluateClassBatch(
+    SecureStore* store, const SecureStore::SnapshotPin& pin,
+    const PatternTree& pattern, std::span<const SubjectId> subjects,
+    const EvalOptions& options, const QueryCaches& caches,
+    const ChunkScan& scan) {
+  SubjectBatchResult batch;
 
   // Group by codebook column: classes are exact (every subject-dependent
   // step of evaluation — node checks, page verdicts, hidden intervals —
   // is a function of the column alone).
   std::vector<SubjectId> subject_list(subjects.begin(), subjects.end());
-  std::vector<SubjectClass> groups = store_->GroupSubjects(subject_list);
+  std::vector<SubjectClass> groups = store->GroupSubjects(subject_list);
   std::unordered_map<SubjectId, size_t> class_index;
   for (size_t k = 0; k < groups.size(); ++k) {
     for (SubjectId s : groups[k].members) class_index.emplace(s, k);
@@ -88,8 +95,8 @@ Result<SubjectBatchResult> BatchEvaluator::Evaluate(
   batch.class_of.reserve(subjects.size());
   for (SubjectId s : subjects) batch.class_of.push_back(class_index.at(s));
 
-  cache::ResultCache* rcache = caches_.ResultsEnabled();
-  QueryPlanCache* pcache = caches_.plans;
+  cache::ResultCache* rcache = caches.ResultsEnabled();
+  QueryPlanCache* pcache = caches.plans;
   std::string normalized;
   if (rcache != nullptr || pcache != nullptr) {
     normalized = NormalizePattern(pattern);
@@ -140,14 +147,14 @@ Result<SubjectBatchResult> BatchEvaluator::Evaluate(
   uint64_t fp_begin = 0, fp_end = 0;
   bool acl_independent = false;
   if (rcache != nullptr && !miss.empty()) {
-    QueryFootprint(store_, pq, options.semantics, &fp_begin, &fp_end,
+    QueryFootprint(store, pq, options.semantics, &fp_begin, &fp_end,
                    &acl_independent);
   }
 
   // Evaluate the miss classes in chunks of up to chunk_cap: one structural
-  // scan per chunk, mask-wide accessibility per node. With 512-wide masks
-  // almost every batch collapses to a single chunk; the option keeps the
-  // chunked path reachable for tests and tuning.
+  // scan and one mask join per chunk. With 512-wide masks almost every
+  // batch collapses to a single chunk; the option keeps the chunked path
+  // reachable for tests and tuning.
   const size_t chunk_cap =
       options.batch_chunk_classes == 0
           ? kMaxBatchClasses
@@ -158,52 +165,32 @@ Result<SubjectBatchResult> BatchEvaluator::Evaluate(
     const size_t width = chunk_end - chunk_begin;
     std::vector<SubjectId> reps;
     reps.reserve(width);
+    std::vector<EvalResult*> results;
+    results.reserve(width);
     size_t chunk_subjects = 0;
     for (size_t j = chunk_begin; j < chunk_end; ++j) {
+      ClassEvalResult& cls = batch.classes[miss[j]];
+      cls.subjects = groups[miss[j]].members;
       reps.push_back(groups[miss[j]].representative());
-      chunk_subjects += groups[miss[j]].members.size();
+      results.push_back(&cls.result);
+      chunk_subjects += cls.subjects.size();
     }
 
-    MultiSubjectMatcher::Options mopts;
-    mopts.page_skip = options.page_skip;
-    mopts.ordered_siblings = options.ordered_siblings;
-    MultiSubjectMatcher matcher(store_, reps, mopts);
+    std::vector<std::vector<BatchFragmentMatch>> matches(nf);
+    std::vector<OperatorStats> shared_ops;
+    SECXML_RETURN_NOT_OK(scan(pq, reps, &matches, &shared_ops));
+    SECXML_RETURN_NOT_OK(FinalizeChunk(store, pq, options, reps, matches,
+                                       std::move(shared_ops), results));
 
-    std::vector<std::vector<BatchFragmentMatch>> bmatches(nf);
-    for (size_t f = 0; f < nf; ++f) {
-      SECXML_RETURN_NOT_OK(matcher.MatchFragment(pq.query.fragments[f],
-                                                 pq.designated[f],
-                                                 &bmatches[f]));
-    }
+    ExecStats bc = BatchCounters(chunk_subjects, width);
+    // The batch's single snapshot pin is attributed to the very first
+    // chunk's batch operator (the rollup then reports 1 per batch).
+    if (chunk_begin == 0) bc.epoch_pins = 1;
+    results[0]->operators.push_back({"batch", bc});
 
     for (size_t j = chunk_begin; j < chunk_end; ++j) {
       const size_t k = miss[j];
-      ClassEvalResult& cls = batch.classes[k];
-      cls.subjects = groups[k].members;
-      EvalResult& r = cls.result;
-
-      std::vector<std::vector<FragmentMatch>> matches(nf);
-      for (size_t f = 0; f < nf; ++f) {
-        matches[f] = ProjectClassMatches(bmatches[f], j - chunk_begin);
-        r.fragment_matches += matches[f].size();
-      }
-
-      // The chunk's shared scan is attributed to its first class; other
-      // classes carry an empty scan operator so every class result has the
-      // per-subject operator shape.
-      r.operators.push_back(
-          {"scan", j == chunk_begin ? matcher.exec_stats() : ExecStats()});
-
-      SECXML_RETURN_NOT_OK(FinalizeClassEval(
-          store_, pq, options, groups[k].representative(), &matches, &r));
-      if (j == chunk_begin) {
-        ExecStats bc = BatchCounters(chunk_subjects, width);
-        // The batch's single snapshot pin is attributed to the very first
-        // chunk's batch operator (the rollup then reports 1 per batch).
-        if (chunk_begin == 0) bc.epoch_pins = 1;
-        r.operators.push_back({"batch", bc});
-      }
-
+      EvalResult& r = batch.classes[k].result;
       if (rcache != nullptr) {
         r.exec = RollUp(r.operators);
         cache::ResultCache::Entry entry;
@@ -236,6 +223,57 @@ Result<SubjectBatchResult> BatchEvaluator::Evaluate(
     batch.exec += cls.result.exec;
   }
   return batch;
+}
+
+Result<SubjectBatchResult> BatchEvaluator::Evaluate(
+    const PatternTree& pattern, std::span<const SubjectId> subjects,
+    const EvalOptions& options) {
+  if (subjects.empty()) {
+    return Status::InvalidArgument("batch evaluation needs subjects");
+  }
+  // One pin covers the whole batch; the nested QueryEvaluator (kNone path)
+  // and every chunk adopt this snapshot, so all classes answer against the
+  // same epoch.
+  SecureStore::SnapshotPin pin(store_);
+
+  // Without access control every subject sees the whole document: the batch
+  // is one equivalence class, evaluated once by the per-subject path
+  // (through the caches when attached — the key's class half is {0,0}).
+  if (options.semantics == AccessSemantics::kNone) {
+    QueryEvaluator eval(store_);
+    SECXML_ASSIGN_OR_RETURN(
+        EvalResult r,
+        EvaluateWithCaches(store_, &eval, pattern, options, caches_));
+    r.operators.push_back({"batch", BatchCounters(subjects.size(), 1)});
+    r.exec = RollUp(r.operators);
+    SubjectBatchResult batch;
+    ClassEvalResult cls;
+    cls.subjects.assign(subjects.begin(), subjects.end());
+    cls.result = std::move(r);
+    batch.classes.push_back(std::move(cls));
+    batch.class_of.assign(subjects.size(), 0);
+    batch.exec = batch.classes[0].result.exec;
+    return batch;
+  }
+
+  // Each chunk's one structural scan: a multi-subject matcher over the
+  // whole node space, tested chunk-wide per node.
+  auto scan = [&](const PreparedQuery& pq, const std::vector<SubjectId>& reps,
+                  std::vector<std::vector<BatchFragmentMatch>>* matches,
+                  std::vector<OperatorStats>* operators) -> Status {
+    MultiSubjectMatcher::Options mopts;
+    mopts.page_skip = options.page_skip;
+    mopts.ordered_siblings = options.ordered_siblings;
+    MultiSubjectMatcher matcher(store_, reps, mopts);
+    for (size_t f = 0; f < pq.query.fragments.size(); ++f) {
+      SECXML_RETURN_NOT_OK(matcher.MatchFragment(
+          pq.query.fragments[f], pq.designated[f], &(*matches)[f]));
+    }
+    operators->push_back({"scan", matcher.exec_stats()});
+    return Status::OK();
+  };
+  return EvaluateClassBatch(store_, pin, pattern, subjects, options, caches_,
+                            scan);
 }
 
 }  // namespace secxml

@@ -1,12 +1,14 @@
 #ifndef SECXML_QUERY_BATCH_EVALUATOR_H_
 #define SECXML_QUERY_BATCH_EVALUATOR_H_
 
+#include <functional>
 #include <span>
 #include <vector>
 
 #include "common/result.h"
 #include "core/secure_store.h"
 #include "exec/exec_stats.h"
+#include "query/batch_matcher.h"
 #include "query/evaluator.h"
 #include "query/pattern_tree.h"
 #include "query/query_cache.h"
@@ -40,17 +42,31 @@ struct SubjectBatchResult {
   }
 };
 
-/// The post-scan, per-class finalize shared by BatchEvaluator and the
-/// sharded coordinator (src/serve): applies the view-semantics visibility
-/// filter (the class representative's hidden intervals, served from
-/// `store`'s per-epoch cache) and the ε-STD join to the class's projected
-/// matches, appending the "visibility" and "join" operators to r->operators
-/// and collecting r->answers. The caller pushes the scan (and any merge)
-/// operators before, batch counters after, then rolls up.
-Status FinalizeClassEval(SecureStore* store, const PreparedQuery& pq,
-                         const EvalOptions& options, SubjectId representative,
-                         std::vector<std::vector<FragmentMatch>>* matches,
-                         EvalResult* r);
+/// A chunk's shared structural scan: matches every fragment of `pq` for the
+/// classes whose representatives are `reps` (class bit k is reps[k]), each
+/// list in ascending root order, and appends the operators that did the
+/// work ("scan", plus "merge" when the scan was scattered).
+using ChunkScan = std::function<Status(
+    const PreparedQuery& pq, const std::vector<SubjectId>& reps,
+    std::vector<std::vector<BatchFragmentMatch>>* matches,
+    std::vector<OperatorStats>* operators)>;
+
+/// The class-batch pipeline behind BatchEvaluator and the sharded
+/// coordinator (src/serve), for access-controlled semantics under the
+/// caller's pin (both callers collapse kNone to one class themselves):
+/// groups `subjects` into visibility classes, serves classes from the
+/// result cache, runs `scan` once per chunk of the rest, and finalizes each
+/// chunk with one mask join (JoinBatchMatches) over every class's hidden
+/// intervals. The chunk's shared work — its scan operators, the join and
+/// the batch counters — lands on the chunk's first class; every other class
+/// carries an empty "scan" and "join" operator and its own "visibility"
+/// operator, so each class result has the per-subject operator shape and
+/// the batch rollup is the sum of the class rollups.
+Result<SubjectBatchResult> EvaluateClassBatch(
+    SecureStore* store, const SecureStore::SnapshotPin& pin,
+    const PatternTree& pattern, std::span<const SubjectId> subjects,
+    const EvalOptions& options, const QueryCaches& caches,
+    const ChunkScan& scan);
 
 /// Multi-subject batch evaluator: answers one twig query for a whole batch
 /// of subjects with one structural scan per chunk of at most
@@ -64,11 +80,12 @@ Status FinalizeClassEval(SecureStore* store, const PreparedQuery& pq,
 ///     scan ONCE through MultiSubjectMatcher, testing the whole chunk per
 ///     node with a word-wide AND and skipping pages only when dead for
 ///     every live class.
-///  3. The post-scan pipeline (view-semantics visibility filter, ε-STD
-///     joins, answer collection) is the per-subject evaluator's own code
-///     (FilterMatchesVisible/JoinMatches), run per class on the projected
-///     matches — so per-class results equal QueryEvaluator::Evaluate for
-///     the class representative, element for element.
+///  3. One mask-valued ε-STD join per chunk (JoinBatchMatches) applies
+///     every class's view-semantics visibility filter, validity and reach
+///     at once and fans the answers out by class. For each class it equals
+///     the per-subject evaluator's FilterMatchesVisible + JoinMatches on
+///     the class's projection of the matches, so per-class results equal
+///     QueryEvaluator::Evaluate for the class representative.
 ///
 /// Under AccessSemantics::kNone answers are subject-independent: the whole
 /// batch is one class evaluated by the per-subject path.

@@ -338,23 +338,4 @@ Status MultiSubjectMatcher::MatchFragment(const QueryFragment& fragment,
   return Status::OK();
 }
 
-std::vector<FragmentMatch> ProjectClassMatches(
-    const std::vector<BatchFragmentMatch>& batch, size_t k) {
-  std::vector<FragmentMatch> out;
-  for (const BatchFragmentMatch& bm : batch) {
-    if (!bm.ok.Test(k)) continue;
-    FragmentMatch m;
-    m.root = bm.root;
-    m.root_end = bm.root_end;
-    m.bindings.resize(bm.bindings.size());
-    for (size_t i = 0; i < bm.bindings.size(); ++i) {
-      for (const MaskedBinding& b : bm.bindings[i]) {
-        if (b.mask.Test(k)) m.bindings[i].emplace_back(b.node, b.end);
-      }
-    }
-    out.push_back(std::move(m));
-  }
-  return out;
-}
-
 }  // namespace secxml

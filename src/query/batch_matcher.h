@@ -23,9 +23,11 @@ struct MaskedBinding {
 };
 
 /// One data root at which the fragment matches for at least one class.
-/// Projecting bit k (ProjectClassMatches) reproduces, element for element,
+/// Projecting bit k (the matches with bit k in `ok`, their bindings
+/// filtered to bit k, orders preserved) reproduces, element for element,
 /// the FragmentMatch list the per-subject NokMatcher emits for class k's
-/// representative.
+/// representative; the mask join (query/batch_join.h) consumes the masks
+/// without projecting.
 struct BatchFragmentMatch {
   NodeId root = 0;
   NodeId root_end = 0;
@@ -135,13 +137,6 @@ class MultiSubjectMatcher {
   /// ordered path's physically-rolled-back feasibility probes.
   std::vector<size_t> mark_stack_;
 };
-
-/// Projects one class out of a batch match list: the FragmentMatch sequence
-/// the per-subject matcher would have produced for class `k`'s
-/// representative (matches with bit k, bindings filtered to bit k, orders
-/// preserved).
-std::vector<FragmentMatch> ProjectClassMatches(
-    const std::vector<BatchFragmentMatch>& batch, size_t k);
 
 }  // namespace secxml
 

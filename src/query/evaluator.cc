@@ -1,6 +1,7 @@
 #include "query/evaluator.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "query/structural_join.h"
 #include "query/xpath_parser.h"
@@ -209,9 +210,9 @@ Result<EvalResult> QueryEvaluator::EvaluatePrepared(
   if (options.semantics == AccessSemantics::kView) {
     ExecStats vis_stats;
     SECXML_ASSIGN_OR_RETURN(
-        std::vector<NodeInterval> hidden,
+        std::shared_ptr<const std::vector<NodeInterval>> hidden,
         store_->HiddenSubtreeIntervals(options.subject, &vis_stats));
-    FilterMatchesVisible(hidden, &matches, &vis_stats);
+    FilterMatchesVisible(*hidden, &matches, &vis_stats);
     result.operators.push_back({"visibility", vis_stats});
   }
 

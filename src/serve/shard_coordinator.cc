@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <deque>
+#include <memory>
 #include <thread>
-#include <unordered_map>
 
 #include "common/timer.h"
 #include "query/batch_matcher.h"
@@ -23,6 +23,34 @@ ExecStats BatchCounters(size_t subjects, size_t classes) {
   s.classes_evaluated = classes;
   s.class_dedup_hits = subjects - classes;
   return s;
+}
+
+/// Concatenates per-window match streams window by window into `out`,
+/// moving each match: windows ascend in document order, so concatenation
+/// is the merge, and each comparison (counted in `merge`) proves it.
+template <typename Match>
+Status MergeWindowStreams(std::vector<Match>* out,
+                          const std::vector<std::vector<Match>*>& streams,
+                          ExecStats* merge) {
+  size_t total = 0;
+  for (const std::vector<Match>* stream : streams) total += stream->size();
+  out->reserve(out->size() + total);
+  bool first = true;
+  NodeId last_root = 0;
+  for (std::vector<Match>* stream : streams) {
+    for (Match& m : *stream) {
+      ++merge->merge_comparisons;
+      if (!first && m.root < last_root) {
+        return Status::Corruption(
+            "per-window match streams out of document order");
+      }
+      last_root = m.root;
+      first = false;
+      out->push_back(std::move(m));
+    }
+    *stream = std::vector<Match>();
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -97,30 +125,17 @@ ShardCoordinator::WindowScan ShardCoordinator::ScanWindow(
 }
 
 Status ShardCoordinator::GatherMatches(
-    const std::vector<WindowScan>& scans,
+    std::vector<WindowScan>* scans,
     std::vector<std::vector<FragmentMatch>>* matches, ExecStats* merge,
     size_t* fragment_matches) {
-  merge->shards_scattered += scans.size();
-  const size_t nf = matches->size();
-  for (size_t f = 0; f < nf; ++f) {
-    std::vector<FragmentMatch>& out = (*matches)[f];
-    bool first = true;
-    NodeId last_root = 0;
-    for (const WindowScan& scan : scans) {
-      for (const FragmentMatch& m : scan.matches[f]) {
-        // Windows ascend in document order, so concatenation is the merge;
-        // each comparison proves it.
-        ++merge->merge_comparisons;
-        if (!first && m.root < last_root) {
-          return Status::Corruption(
-              "per-window match streams out of document order");
-        }
-        last_root = m.root;
-        first = false;
-        out.push_back(m);
-      }
+  merge->shards_scattered += scans->size();
+  std::vector<std::vector<FragmentMatch>*> streams(scans->size());
+  for (size_t f = 0; f < matches->size(); ++f) {
+    for (size_t w = 0; w < scans->size(); ++w) {
+      streams[w] = &(*scans)[w].matches[f];
     }
-    *fragment_matches += out.size();
+    SECXML_RETURN_NOT_OK(MergeWindowStreams(&(*matches)[f], streams, merge));
+    *fragment_matches += (*matches)[f].size();
   }
   return Status::OK();
 }
@@ -143,7 +158,7 @@ Result<EvalResult> ShardCoordinator::EvaluatePinned(
   EvalResult result;
   std::vector<std::vector<FragmentMatch>> matches(nf);
   ExecStats merge_stats;
-  SECXML_RETURN_NOT_OK(GatherMatches(scans, &matches, &merge_stats,
+  SECXML_RETURN_NOT_OK(GatherMatches(&scans, &matches, &merge_stats,
                                      &result.fragment_matches));
 
   for (const WindowScan& scan : scans) {
@@ -157,9 +172,9 @@ Result<EvalResult> ShardCoordinator::EvaluatePinned(
   if (options_.semantics == AccessSemantics::kView) {
     ExecStats vis_stats;
     SECXML_ASSIGN_OR_RETURN(
-        std::vector<NodeInterval> hidden,
+        std::shared_ptr<const std::vector<NodeInterval>> hidden,
         store_->store()->HiddenSubtreeIntervals(subject, &vis_stats));
-    FilterMatchesVisible(hidden, &matches, &vis_stats);
+    FilterMatchesVisible(*hidden, &matches, &vis_stats);
     result.operators.push_back({"visibility", vis_stats});
   }
 
@@ -322,7 +337,7 @@ BatchResult ShardCoordinator::Run(const std::vector<QueryJob>& jobs) {
     const size_t nf = plans[j]->query.fragments.size();
     std::vector<std::vector<FragmentMatch>> matches(nf);
     ExecStats merge_stats;
-    Status gathered = GatherMatches(scans[j], &matches, &merge_stats,
+    Status gathered = GatherMatches(&scans[j], &matches, &merge_stats,
                                     &result.fragment_matches);
     if (!gathered.ok()) {
       out.status = gathered;
@@ -335,14 +350,14 @@ BatchResult ShardCoordinator::Run(const std::vector<QueryJob>& jobs) {
     result.operators.push_back({"merge", merge_stats});
     if (options_.semantics == AccessSemantics::kView) {
       ExecStats vis_stats;
-      Result<std::vector<NodeInterval>> hidden =
+      Result<std::shared_ptr<const std::vector<NodeInterval>>> hidden =
           store->HiddenSubtreeIntervals(jobs[j].subject, &vis_stats);
       if (!hidden.ok()) {
         out.status = hidden.status();
         out.latency_micros = scatter_micros + finalize.ElapsedMicros();
         continue;
       }
-      FilterMatchesVisible(*hidden, &matches, &vis_stats);
+      FilterMatchesVisible(**hidden, &matches, &vis_stats);
       result.operators.push_back({"visibility", vis_stats});
     }
     ExecStats join_stats;
@@ -383,7 +398,6 @@ Result<SubjectBatchResult> ShardCoordinator::EvaluateForSubjects(
   }
   SecureStore* store = store_->store();
   SecureStore::SnapshotPin pin(store);
-  SubjectBatchResult batch;
   const EvalOptions options = MakeEvalOptions(0);
 
   // Without access control every subject sees the whole document: one
@@ -394,6 +408,7 @@ Result<SubjectBatchResult> ShardCoordinator::EvaluateForSubjects(
                             EvaluateCachedPinned(pin, pattern, 0));
     r.operators.push_back({"batch", BatchCounters(subjects.size(), 1)});
     r.exec = RollUp(r.operators);
+    SubjectBatchResult batch;
     ClassEvalResult cls;
     cls.subjects.assign(subjects.begin(), subjects.end());
     cls.result = std::move(r);
@@ -403,90 +418,16 @@ Result<SubjectBatchResult> ShardCoordinator::EvaluateForSubjects(
     return batch;
   }
 
-  // Class routing runs ONCE at the coordinator, under the request's pin.
-  std::vector<SubjectId> subject_list(subjects.begin(), subjects.end());
-  std::vector<SubjectClass> groups = store->GroupSubjects(subject_list);
-  std::unordered_map<SubjectId, size_t> class_index;
-  for (size_t k = 0; k < groups.size(); ++k) {
-    for (SubjectId s : groups[k].members) class_index.emplace(s, k);
-  }
-  batch.class_of.reserve(subjects.size());
-  for (SubjectId s : subjects) batch.class_of.push_back(class_index.at(s));
-
-  cache::ResultCache* rcache = options_.caches.ResultsEnabled();
-  QueryPlanCache* pcache = options_.caches.plans;
-  std::string normalized;
-  if (rcache != nullptr || pcache != nullptr) {
-    normalized = NormalizePattern(pattern);
-  }
-  SECXML_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedQuery> plan,
-                          ResolvePlan(pattern, normalized, pcache));
-  const PreparedQuery& pq = *plan;
-  const size_t nf = pq.query.fragments.size();
-  batch.classes.resize(groups.size());
-
-  // Per-class probes at the coordinator, exactly BatchEvaluator's protocol:
-  // non-blocking (an in-flight class scatters live), served classes never
-  // reach any window.
-  std::vector<cache::ResultKey> keys(groups.size());
-  std::deque<FlightGuard> flights;
-  std::vector<FlightGuard*> flight_of(groups.size(), nullptr);
-  std::vector<size_t> miss;
-  miss.reserve(groups.size());
-  for (size_t k = 0; k < groups.size(); ++k) {
-    if (rcache == nullptr) {
-      miss.push_back(k);
-      continue;
-    }
-    keys[k] = MakeResultKey(normalized, groups[k].fingerprint,
-                            options_.semantics, options_.ordered_siblings);
-    cache::ResultCache::Probe probe = rcache->Get(keys[k], pin.epoch());
-    if (probe.outcome == cache::ResultCache::ProbeOutcome::kHit) {
-      ClassEvalResult& cls = batch.classes[k];
-      cls.subjects = groups[k].members;
-      cls.result = MakeCachedResult(probe.payload, 0);
-      // The batch's one coordinator pin is attributed once (below).
-      cls.result.operators.back().stats.epoch_pins = 0;
-      cls.result.exec = RollUp(cls.result.operators);
-      continue;
-    }
-    if (probe.outcome == cache::ResultCache::ProbeOutcome::kMissLead) {
-      flights.emplace_back(rcache, keys[k]);
-      flight_of[k] = &flights.back();
-    }
-    miss.push_back(k);
-  }
-
-  // One footprint covers every class published below (it depends only on
-  // the plan and semantics).
-  uint64_t fp_begin = 0, fp_end = 0;
-  bool acl_independent = false;
-  if (rcache != nullptr && !miss.empty()) {
-    QueryFootprint(store, pq, options_.semantics, &fp_begin, &fp_end,
-                   &acl_independent);
-  }
-
-  const ShardMap windows = store_->Windows();
-  const size_t n = windows.num_shards();
-
-  const size_t chunk_cap =
-      options.batch_chunk_classes == 0
-          ? kMaxBatchClasses
-          : std::min(options.batch_chunk_classes, kMaxBatchClasses);
-  for (size_t chunk_begin = 0; chunk_begin < miss.size();
-       chunk_begin += chunk_cap) {
-    const size_t chunk_end = std::min(miss.size(), chunk_begin + chunk_cap);
-    const size_t width = chunk_end - chunk_begin;
-    std::vector<SubjectId> reps;
-    reps.reserve(width);
-    size_t chunk_subjects = 0;
-    for (size_t j = chunk_begin; j < chunk_end; ++j) {
-      reps.push_back(groups[miss[j]].representative());
-      chunk_subjects += groups[miss[j]].members.size();
-    }
-
-    // Scatter the chunk's one structural scan: each window's multi-subject
-    // cursor walks only its candidate window.
+  // Class routing, cache probes and the mask join run ONCE at the
+  // coordinator, under the request's pin; each chunk's one structural scan
+  // scatters across the windows.
+  auto scan = [&](const PreparedQuery& pq, const std::vector<SubjectId>& reps,
+                  std::vector<std::vector<BatchFragmentMatch>>* matches,
+                  std::vector<OperatorStats>* operators) -> Status {
+    const size_t nf = pq.query.fragments.size();
+    const ShardMap windows = store_->Windows();
+    const size_t n = windows.num_shards();
+    // Each window's multi-subject cursor walks only its candidate window.
     struct BatchWindowScan {
       Status status = Status::OK();
       std::vector<std::vector<BatchFragmentMatch>> matches;
@@ -520,95 +461,24 @@ Result<SubjectBatchResult> ShardCoordinator::EvaluateForSubjects(
       SECXML_RETURN_NOT_OK(scan.status);
     }
 
-    // Document-order merge of the per-window batch streams (concatenation,
-    // verified root by root — same contract as GatherMatches).
-    std::vector<std::vector<BatchFragmentMatch>> bmatches(nf);
+    // Document-order merge of the per-window batch streams (the window
+    // scans are not read again, so their matches move).
     ExecStats merge_stats;
     merge_stats.shards_scattered = n;
+    std::vector<std::vector<BatchFragmentMatch>*> streams(n);
     for (size_t f = 0; f < nf; ++f) {
-      bool first = true;
-      NodeId last_root = 0;
-      for (const BatchWindowScan& scan : scans) {
-        for (const BatchFragmentMatch& m : scan.matches[f]) {
-          ++merge_stats.merge_comparisons;
-          if (!first && m.root < last_root) {
-            return Status::Corruption(
-                "per-window batch match streams out of document order");
-          }
-          last_root = m.root;
-          first = false;
-          bmatches[f].push_back(m);
-        }
-      }
+      for (size_t w = 0; w < n; ++w) streams[w] = &scans[w].matches[f];
+      SECXML_RETURN_NOT_OK(
+          MergeWindowStreams(&(*matches)[f], streams, &merge_stats));
     }
-
-    // Per-class finalize at the coordinator, mirroring BatchEvaluator: the
-    // chunk's shared scatter (per-window scans + the merge) is attributed to
-    // its first class, every class runs the shared FinalizeClassEval.
-    for (size_t j = chunk_begin; j < chunk_end; ++j) {
-      const size_t k = miss[j];
-      ClassEvalResult& cls = batch.classes[k];
-      cls.subjects = groups[k].members;
-      EvalResult& r = cls.result;
-
-      std::vector<std::vector<FragmentMatch>> matches(nf);
-      for (size_t f = 0; f < nf; ++f) {
-        matches[f] = ProjectClassMatches(bmatches[f], j - chunk_begin);
-        r.fragment_matches += matches[f].size();
-      }
-
-      if (j == chunk_begin) {
-        for (const BatchWindowScan& scan : scans) {
-          r.operators.push_back({"scan", scan.scan});
-        }
-        r.operators.push_back({"merge", merge_stats});
-      } else {
-        r.operators.push_back({"scan", ExecStats()});
-      }
-
-      SECXML_RETURN_NOT_OK(FinalizeClassEval(store, pq, options,
-                                             groups[k].representative(),
-                                             &matches, &r));
-      if (j == chunk_begin) {
-        ExecStats bc = BatchCounters(chunk_subjects, width);
-        // The batch's single coordinator pin, attributed to the very first
-        // chunk (the adopted worker pins live in the scan operators).
-        if (chunk_begin == 0) bc.epoch_pins = 1;
-        r.operators.push_back({"batch", bc});
-      }
-
-      if (rcache != nullptr) {
-        r.exec = RollUp(r.operators);
-        cache::ResultCache::Entry entry;
-        entry.payload = MakeCachePayload(r);
-        entry.epoch = pin.epoch();
-        entry.begin = fp_begin;
-        entry.end = fp_end;
-        entry.acl_independent = acl_independent;
-        const bool admitted = flight_of[k] != nullptr
-                                  ? flight_of[k]->Publish(std::move(entry))
-                                  : rcache->Publish(keys[k], std::move(entry));
-        ExecStats cache_stats;
-        cache_stats.result_cache_misses = 1;
-        if (!admitted) cache_stats.result_cache_invalidations = 1;
-        r.operators.push_back({"cache", cache_stats});
-      }
-      r.exec = RollUp(r.operators);
+    for (const BatchWindowScan& scan : scans) {
+      operators->push_back({"scan", scan.scan});
     }
-  }
-
-  // All classes served from cache: the batch's one coordinator pin still
-  // needs a home for the rollup identity — the first class's cache op.
-  if (miss.empty() && !batch.classes.empty()) {
-    EvalResult& r0 = batch.classes[0].result;
-    r0.operators.back().stats.epoch_pins = 1;
-    r0.exec = RollUp(r0.operators);
-  }
-
-  for (const ClassEvalResult& cls : batch.classes) {
-    batch.exec += cls.result.exec;
-  }
-  return batch;
+    operators->push_back({"merge", merge_stats});
+    return Status::OK();
+  };
+  return EvaluateClassBatch(store, pin, pattern, subjects, options,
+                            options_.caches, scan);
 }
 
 }  // namespace secxml

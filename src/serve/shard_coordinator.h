@@ -53,14 +53,18 @@ struct ShardCoordinatorOptions {
 /// per-window match streams window by window IS the document-order merge;
 /// each appended match verifies its root against the running maximum
 /// (merge_comparisons) so the order the join requires is proved, not
-/// assumed. The ε-STD join — and for batches the per-class projection,
-/// visibility filter, and join (the shared FinalizeClassEval) — then runs
-/// once at the coordinator on the merged streams, making every answer
-/// byte-identical to the single-store evaluators'.
+/// assumed. The window scans are not read again, so their matches move
+/// into the merged streams. The ε-STD join — for batches the one mask join
+/// of every class in the chunk (JoinBatchMatches) — then runs once at the
+/// coordinator on the merged streams, making every answer byte-identical to
+/// the single-store evaluators'.
 ///
-/// Class routing: GroupSubjects runs ONCE at the coordinator under the
-/// request's pin; each window then evaluates each equivalence class at most
-/// once per chunk via its multi-subject cursor.
+/// Class routing: EvaluateForSubjects runs BatchEvaluator's own pipeline
+/// (EvaluateClassBatch) at the coordinator under the request's pin —
+/// GroupSubjects, cache probes and the chunk finalize happen once — with
+/// each chunk's structural scan scattered across the windows, so each
+/// window evaluates each equivalence class at most once per chunk via its
+/// multi-subject cursor.
 ///
 /// Failure: scatter tasks fail independently. In Run(), one window's I/O
 /// error fails only the jobs whose scatter touched it (first failing window
@@ -102,8 +106,9 @@ class ShardCoordinator {
                         SubjectId subject);
 
   /// Gathers per-window streams into document-order merged `matches`,
-  /// verifying order and counting the merge work into `merge`.
-  Status GatherMatches(const std::vector<WindowScan>& scans,
+  /// verifying order and counting the merge work into `merge`. The
+  /// windows' matches are moved out, not copied.
+  Status GatherMatches(std::vector<WindowScan>* scans,
                        std::vector<std::vector<FragmentMatch>>* matches,
                        ExecStats* merge, size_t* fragment_matches);
 

@@ -254,7 +254,7 @@ TEST(SecureStoreTest, HiddenSubtreeIntervalsMatchBruteForce) {
       }
       std::vector<bool> from_intervals(f->doc.NumNodes(), false);
       NodeId prev_end = 0;
-      for (const NodeInterval& iv : *got) {
+      for (const NodeInterval& iv : **got) {
         ASSERT_LT(iv.begin, iv.end);
         ASSERT_GE(iv.begin, prev_end);  // sorted, disjoint, maximal
         prev_end = iv.end;
@@ -278,15 +278,19 @@ TEST(SecureStoreTest, HiddenIntervalsAreCachedUntilUpdate) {
   f->store->nok()->buffer_pool()->mutable_stats()->Reset();
   auto second = f->store->HiddenSubtreeIntervals(0);
   ASSERT_TRUE(second.ok());
-  EXPECT_EQ(*second, *first);
+  EXPECT_EQ(**second, **first);
   EXPECT_EQ(f->store->io_stats().page_reads, 0u);  // served from the cache
+  // A hit shares the cached intervals instead of copying them.
+  EXPECT_EQ(second->get(), first->get());
 
   // An accessibility update invalidates: hiding the root hides everything.
   ASSERT_TRUE(f->store->SetNodeAccess(0, 0, false).ok());
   auto third = f->store->HiddenSubtreeIntervals(0);
   ASSERT_TRUE(third.ok());
-  ASSERT_EQ(third->size(), 1u);
-  EXPECT_EQ((*third)[0], (NodeInterval{0, f->store->num_nodes()}));
+  ASSERT_EQ((*third)->size(), 1u);
+  EXPECT_EQ((**third)[0], (NodeInterval{0, f->store->num_nodes()}));
+  // The first answer outlives the commit that dropped it from the cache.
+  EXPECT_EQ(**first, **second);
 }
 
 TEST(SecureStoreTest, TinyBufferPoolStillCorrect) {
@@ -330,7 +334,7 @@ TEST(SecureStoreTest, HiddenIntervalsSkipUniformAccessiblePages) {
   store->nok()->buffer_pool()->mutable_stats()->Reset();
   auto got = store->HiddenSubtreeIntervals(0);
   ASSERT_TRUE(got.ok());
-  EXPECT_TRUE(got->empty());
+  EXPECT_TRUE((*got)->empty());
   EXPECT_EQ(store->io_stats().page_reads, 0u);
 }
 

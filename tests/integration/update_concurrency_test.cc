@@ -368,7 +368,7 @@ TEST(UpdateConcurrencyTest, CommitDoesNotWaitForAColdHiddenSweep) {
     auto hidden = store->HiddenSubtreeIntervals(0);
     sweep_end = Clock::now();
     ASSERT_TRUE(hidden.ok()) << hidden.status();
-    swept = *hidden;
+    swept = **hidden;
   });
   // Commit once the sweep is a few page reads in.
   while (!sweeping.load() ||
@@ -388,7 +388,7 @@ TEST(UpdateConcurrencyTest, CommitDoesNotWaitForAColdHiddenSweep) {
   // have been kept: the new epoch sees the revoke.
   auto now_hidden = store->HiddenSubtreeIntervals(0);
   ASSERT_TRUE(now_hidden.ok());
-  EXPECT_EQ(*now_hidden, after);
+  EXPECT_EQ(**now_hidden, after);
   EXPECT_EQ(store->epochs()->active_pins(), 0u);
 }
 

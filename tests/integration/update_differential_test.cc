@@ -110,13 +110,13 @@ void CheckAfterUpdate(Fixture* f, size_t num_subjects,
   for (SubjectId s = 0; s < num_subjects; ++s) {
     auto hidden = f->store->HiddenSubtreeIntervals(s);
     ASSERT_TRUE(hidden.ok()) << when << ": " << hidden.status();
-    served[s] = *hidden;
+    served[s] = **hidden;
   }
   f->store->DropVisibilityCaches();
   for (SubjectId s = 0; s < num_subjects; ++s) {
     auto fresh = f->store->HiddenSubtreeIntervals(s);
     ASSERT_TRUE(fresh.ok()) << when << ": " << fresh.status();
-    EXPECT_EQ(served[s], *fresh) << when << " subject " << s;
+    EXPECT_EQ(served[s], **fresh) << when << " subject " << s;
   }
 
   // 4. Answers: warm (cached) vs cold (recomputed), serial vs batch, both
