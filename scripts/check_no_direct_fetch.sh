@@ -45,19 +45,20 @@ report() {
 }
 
 # Raw scan primitives: forbidden everywhere in query/ and core/. These are
-# the calls SecureCursor/MultiSubjectCursor/PageSweep own.
+# the calls the scan cursor (MultiSubjectCursor) and PageSweep own.
 grep -rn "RecordAndCode\|FirstAtDepthInPage\|buffer_pool()->Fetch\|buffer_pool_\.Fetch" \
     src/query src/core --include='*.cc' --include='*.h' \
-  | report "scan primitive outside src/exec (use SecureCursor/PageSweep)"
+  | report "scan primitive outside src/exec (use MultiSubjectCursor / PageSweep)"
 
 # Per-node access checks in the query layer: must go through the cursor
-# (SecureCursor per subject, MultiSubjectCursor for batches).
+# (MultiSubjectCursor, one class per single subject).
 grep -rn "Codebook::Accessible\|codebook()\.Accessible\|codebook_\.Accessible\|->Accessible(" \
     src/query --include='*.cc' --include='*.h' \
-  | report "direct access check in src/query (use SecureCursor)"
+  | report "direct access check in src/query (use MultiSubjectCursor / PageSweep)"
 
-# Codebook column extraction in the query layer: the batch path's word-wide
-# checks are MultiSubjectCursor's (it transposes the columns in Attach);
+# Codebook column extraction in the query layer: the word-wide checks are
+# MultiSubjectCursor's (it reads a single class's column, or transposes the
+# columns of several, in Attach);
 # grouping goes through core's GroupSubjectsByColumn. A direct Column()
 # probe in src/query would be a per-caller copy of that machinery.
 grep -rn "Codebook::Column\|codebook()\.Column\|codebook_\.Column\|->Column(\|\.Column(" \
@@ -66,7 +67,7 @@ grep -rn "Codebook::Column\|codebook()\.Column\|codebook_\.Column\|->Column(\|\.
 
 # Page transition walks in the query layer: the cursors own the decode.
 grep -rn "PageTransitions" src/query --include='*.cc' --include='*.h' \
-  | report "direct DOL transition walk in src/query (use SecureCursor / MultiSubjectCursor)"
+  | report "direct DOL transition walk in src/query (use MultiSubjectCursor / PageSweep)"
 
 # In core/, PageTransitions is only legitimate on secure_store.cc's update
 # and extraction paths; everything else must use PageCodes/PageCodeWalker.
@@ -87,15 +88,14 @@ grep -rn "codebook_\.Accessible\|codebook()\.Accessible" \
   | grep -v '^src/core/dol_labeling\.h:' \
   | report "codebook probe in src/core outside whitelisted oracle sites"
 
-# Raw mask arithmetic: class masks are WideClassMask (src/exec/mask_ops.h)
-# and their bulk operations are the dispatched MaskKernels. A hand-rolled
-# uint64_t shift/AND over class bits in the query or exec layer would
-# silently truncate batches back to 64 classes and bypass the SIMD tiers'
-# bit-identity guarantee, so mask word-twiddling has exactly one home.
+# Raw mask arithmetic: class masks are WideClassMask (src/exec/mask_ops.h).
+# A hand-rolled uint64_t shift/AND over class bits in the query or exec
+# layer would silently truncate batches back to 64 classes, so mask
+# word-twiddling has exactly one home.
 grep -rn "1ULL <<\|1ull <<\|~0ULL\|~0ull\|uint64_t mask\|mask & (1\|ClassMask = uint64_t" \
     src/query src/exec --include='*.cc' --include='*.h' \
   | grep -v '^src/exec/mask_ops\.h:' \
-  | report "raw uint64_t mask arithmetic outside src/exec/mask_ops.h (use WideClassMask / MaskKernels)"
+  | report "raw uint64_t mask arithmetic outside src/exec/mask_ops.h (use WideClassMask)"
 
 # Cache encapsulation: the cross-request ResultCache/PlanCache (src/cache)
 # may be named only by the layers that own a traffic stream — src/query

@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "common/dcheck.h"
-#include "exec/secure_cursor.h"
+#include "exec/page_sweep.h"
 
 namespace secxml {
 

@@ -7,7 +7,8 @@
 namespace secxml {
 
 /// Per-cursor / per-operator execution counters for the secure query path.
-/// Every SecureCursor accumulates one of these while it runs; operators roll
+/// Every scan cursor (MultiSubjectCursor, LabelStreamCursor) accumulates
+/// one of these while it runs; operators roll
 /// their cursors' stats into the query's EvalResult and QueryDriver rolls
 /// queries into BatchStats. The counters make the paper's central claim —
 /// accessibility checks add no I/O to NoK evaluation — a *measured* value
@@ -40,8 +41,8 @@ struct ExecStats {
 
   // Multi-subject batch evaluation counters (zero on single-subject paths).
 
-  /// Subjects answered by this evaluation. 1 for a per-subject query; the
-  /// batch size for QueryDriver::EvaluateForSubjects.
+  /// Subjects answered by a batch evaluation: the batch size for
+  /// QueryDriver::EvaluateForSubjects (0 on single-subject queries).
   uint64_t subjects_batched = 0;
   /// Visibility equivalence classes actually evaluated (each class runs the
   /// structural scan once; its members share the answer byte-for-byte).

@@ -10,15 +10,17 @@
 
 namespace secxml {
 
-/// Streaming counterpart of SecureCursor for consumers that see nodes in
-/// document order against a *logical* DOL (no pages): the secure stream
-/// filter, and any one-pass algorithm over a SAX stream (paper Section 7).
+/// Streaming counterpart of the paged scan cursor (MultiSubjectCursor) for
+/// consumers that see nodes in document order against a *logical* DOL (no
+/// pages): the secure stream filter, and any one-pass algorithm over a SAX
+/// stream (paper Section 7).
 ///
 /// The cursor keeps the current run's code by advancing a monotone cursor
 /// over the labeling's transition list — O(1) amortized per node versus the
-/// O(log T) binary search of DolLabeling::CodeAt — and, like SecureCursor,
-/// checks access against the subject's codebook column (Codebook::Column,
-/// taken at construction), so the inner ACCESS check is one bit test.
+/// O(log T) binary search of DolLabeling::CodeAt — and, like a one-class
+/// scan cursor, checks access against the subject's codebook column
+/// (Codebook::Column, taken at construction), so the inner ACCESS check is
+/// one bit test.
 ///
 /// Nodes passed to Accessible must be non-decreasing; skipping ahead (e.g.
 /// past a suppressed subtree whose nodes the caller never checks) is fine.

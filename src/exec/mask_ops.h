@@ -7,26 +7,20 @@
 
 namespace secxml {
 
-/// One bit per visibility equivalence class of a subject batch. PR 5 capped
-/// the batch at one machine word (64 classes, chunking above that); the wide
-/// mask lifts the cap to kMaxBatchClasses so one structural scan serves the
-/// whole batch. All mask arithmetic in the engine goes through this type or
-/// the dispatched kernels below — the layering lint forbids raw uint64_t
-/// mask math outside this header.
-inline constexpr size_t kMaxBatchClasses = 512;
+/// One bit per visibility equivalence class of a subject batch. Two words
+/// hold every batch the workloads send in one structural scan (the widest
+/// is 76 classes); wider batches chunk. A single subject is a one-class
+/// batch. All mask arithmetic in the engine goes through this type — the
+/// layering lint forbids raw uint64_t mask math outside this header.
+inline constexpr size_t kMaxBatchClasses = 128;
 inline constexpr size_t kClassMaskWords = kMaxBatchClasses / 64;
 
-/// Fixed small-vector of mask words: 8 x 64 = 512 class bits, exactly one
-/// AVX-512 register (or two AVX2 registers) per mask. Single-mask operations
-/// are inline word loops — at 8 words the compiler auto-vectorizes them and
-/// an indirect kernel call would cost more than the work. The runtime-
-/// dispatched SIMD kernels (MaskKernels) cover the bulk loops, where arrays
-/// of masks amortize the dispatch.
+/// Fixed two-word mask. Every operation is an inline loop over the two
+/// words, which the compiler unrolls; there is no bulk-kernel layer.
 ///
-/// Deliberately trivially copyable and standard-layout (bindings embed masks
-/// and the strided kernels address them by byte offset); natural 8-byte
-/// alignment with unaligned SIMD loads in the kernels, so embedding a mask
-/// in a struct costs no padding.
+/// Deliberately trivially copyable and standard-layout (bindings embed
+/// masks), with natural 8-byte alignment, so embedding a mask in a struct
+/// costs no padding.
 class WideClassMask {
  public:
   constexpr WideClassMask() = default;
@@ -91,7 +85,7 @@ class WideClassMask {
   }
 
   /// this & ~o — the fail-closed complement restricted to this mask, so
-  /// callers never form an unrestricted ~mask over the 512-bit universe.
+  /// callers never form an unrestricted ~mask over the whole mask width.
   constexpr WideClassMask AndNot(const WideClassMask& o) const {
     WideClassMask r;
     for (size_t i = 0; i < kClassMaskWords; ++i) r.w_[i] = w_[i] & ~o.w_[i];
@@ -135,60 +129,18 @@ class WideClassMask {
     }
   }
 
-  /// Raw word access for the kernel layer and tests only.
-  constexpr uint64_t word(size_t i) const { return w_[i]; }
-  uint64_t* words() { return w_; }
-  const uint64_t* words() const { return w_; }
-
  private:
   uint64_t w_[kClassMaskWords] = {};
 };
 
 using ClassMask = WideClassMask;
 
-/// Instruction sets the bulk kernels are compiled for. Selection happens
-/// once at startup via CPUID (__builtin_cpu_supports); the environment
-/// variable SECXML_FORCE_SCALAR_MASKS=1 pins kScalar for differential
-/// testing, and ForceMaskIsa() lets tests/benches pick any supported tier.
-enum class MaskIsa { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
-
-const char* MaskIsaName(MaskIsa isa);
-
-/// Bulk mask kernels: loops over arrays of masks, dispatched per ISA. Every
-/// variant computes bit-identical results; tests pin that across tiers.
-struct MaskKernels {
-  /// rows[i] &= m for i in [0, n).
-  void (*and_broadcast)(WideClassMask* rows, size_t n, const WideClassMask& m);
-  /// Strided variant for arrays-of-struct (e.g. MaskedBinding): the i-th
-  /// mask lives at first_mask + i * stride_bytes. This is the frame-exit
-  /// success-mask narrowing loop of the batch matcher.
-  void (*and_broadcast_strided)(void* first_mask, size_t stride_bytes,
-                                size_t n, const WideClassMask& m);
-  /// *out = AND over rows[0, n); all-ones (FirstN(kMaxBatchClasses)) when
-  /// n == 0. The per-page dead-mask AND-reduction.
-  void (*reduce_and)(const WideClassMask* rows, size_t n, WideClassMask* out);
-  /// *out = OR over rows[0, n); zero when n == 0.
-  void (*reduce_or)(const WideClassMask* rows, size_t n, WideClassMask* out);
-  /// Total set bits across rows[0, n).
-  uint64_t (*popcount_rows)(const WideClassMask* rows, size_t n);
-  MaskIsa isa = MaskIsa::kScalar;
-};
-
-/// True when the host CPU can run kernels of `isa` (kScalar is always true).
-bool MaskIsaSupported(MaskIsa isa);
-
-/// Kernel table for `isa`; falls back to scalar when unsupported.
-const MaskKernels& MaskKernelsFor(MaskIsa isa);
-
-/// The active kernel table: best supported ISA at first use, unless
-/// SECXML_FORCE_SCALAR_MASKS=1 pinned scalar or ForceMaskIsa() overrode it.
-const MaskKernels& ActiveMaskKernels();
-MaskIsa ActiveMaskIsa();
-
-/// Overrides the active ISA (clamped to the best supported tier at or below
-/// the request); returns what was actually selected. Not thread-safe against
-/// concurrent scans — a test/bench hook, not a serving control.
-MaskIsa ForceMaskIsa(MaskIsa isa);
+/// Provenance shim for the benchmark's output line, which records the mask
+/// instruction set: the mask algebra above is plain inline code, so the
+/// name is always "scalar".
+enum class MaskIsa { kScalar };
+constexpr MaskIsa ActiveMaskIsa() { return MaskIsa::kScalar; }
+constexpr const char* MaskIsaName(MaskIsa) { return "scalar"; }
 
 }  // namespace secxml
 

@@ -1,17 +1,21 @@
 #include "exec/multi_cursor.h"
 
+#include <algorithm>
 #include <string>
-
-#include "common/bitvector.h"
 
 namespace secxml {
 
 MultiSubjectCursor::MultiSubjectCursor(SecureStore* store,
                                        const std::vector<SubjectId>& class_reps,
                                        const Options& options)
-    : store_(store), class_reps_(class_reps), options_(options) {
+    : store_(store),
+      class_reps_(class_reps),
+      options_(options),
+      full_(ClassMask::FirstN(std::min(class_reps.size(), kMaxBatchClasses))) {
   SECXML_DCHECK(!class_reps_.empty() &&
                 class_reps_.size() <= kMaxBatchClasses);
+  // An unchecked scan has no verdicts to skip pages by.
+  if (!options_.secure) options_.page_skip = false;
 }
 
 Status MultiSubjectCursor::Attach() {
@@ -21,33 +25,28 @@ Status MultiSubjectCursor::Attach() {
                                    " classes, got " +
                                    std::to_string(class_reps_.size()));
   }
+  if (!options_.secure) return Status::OK();
+  if (class_reps_.size() == 1) {
+    // The store's epoch-cached column, copied: commits extend the cached
+    // column in place, and the copy keeps them out of this scan.
+    SECXML_ASSIGN_OR_RETURN(column_, store_->SubjectColumn(class_reps_[0]));
+    return Status::OK();
+  }
   const Codebook& codebook = store_->codebook();
-  // The transposed columns (bit k of code_mask_[c] = class k's
-  // accessibility under entry c) are materialized per entry on first
-  // touch: a scan resolves only the codes its pages actually carry, and
-  // eagerly transposing every entry costs entries x classes — more than a
-  // fragment-sized scan does in total on wide batches.
-  code_mask_.assign(codebook.size(), ClassMask());
-  code_mask_ready_.assign(codebook.size(), 0);
-  // Per-page batch verdicts from the in-memory directory alone: a clear
-  // change bit means every slot carries first_code, so the page is dead for
-  // exactly the classes that cannot access first_code — the same
-  // classification ClassifyPage applies per subject.
-  const std::vector<NokStore::PageInfo>& pages = store_->nok()->page_infos();
-  page_dead_.assign(pages.size(), ClassMask());
-  const ClassMask full = FullMask();
-  for (size_t p = 0; p < pages.size(); ++p) {
-    if (!pages[p].change_bit) {
-      page_dead_[p] = full.AndNot(AccessMask(pages[p].first_code));
+  for (SubjectId rep : class_reps_) {
+    if (rep >= codebook.num_subjects()) {
+      return Status::InvalidArgument("no such subject");
     }
   }
+  // The transposed columns (bit k of code_mask_[c] = class k's
+  // accessibility under entry c) are materialized per entry on first
+  // touch: a scan resolves only the codes its pages actually carry.
+  code_mask_.assign(codebook.size(), ClassMask());
+  code_mask_ready_.assign(codebook.size(), 0);
   return Status::OK();
 }
 
 void MultiSubjectCursor::MaterializeCodeMask(uint32_t code) const {
-  // Accessible() fails closed for an unknown representative, so a bad rep
-  // denies rather than misreads — same contract the eager transpose had
-  // through Column().
   const Codebook& codebook = store_->codebook();
   ClassMask m;
   for (size_t k = 0; k < class_reps_.size(); ++k) {
@@ -78,6 +77,10 @@ Result<NokRecord> MultiSubjectCursor::FetchChecked(size_t ordinal, NodeId u,
                                                    ClassMask* access) {
   SECXML_RETURN_NOT_OK(run_.HoldNode(store_->nok(), ordinal, u, &stats_));
   ++stats_.nodes_scanned;
+  if (!options_.secure) {
+    *access = full_;
+    return run_.Record(u);
+  }
   // The code lives in u's own page (Section 3.3), so resolving it costs no
   // additional I/O: the held pin, a binary search at worst. One table load
   // then answers accessibility for the whole batch.
@@ -119,7 +122,7 @@ Result<NodeId> MultiSubjectCursor::NextSiblingSkippingDead(
     if (PageWhollyDeadFor(ordinal, live)) {
       // Nothing in this page is visible to any live class: any sibling
       // inside it would be pruned for everyone, so the page is never
-      // loaded. The dead-mask table makes this test one in-memory AND.
+      // loaded. The in-memory directory answers this test without I/O.
       CountSkippedPage(ordinal);
       ++ordinal;
       continue;

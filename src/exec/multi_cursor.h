@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/bitvector.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "core/secure_store.h"
@@ -15,26 +16,41 @@
 
 namespace secxml {
 
-/// The multi-subject analogue of SecureCursor: one structural scan answering
-/// accessibility for a whole batch of visibility equivalence classes at
-/// once. Where the per-subject cursor resolves a DOL code and probes one
-/// codebook bit, this cursor resolves the code once and loads one
-/// precomputed wide mask whose bit k is class k's accessibility — up to
-/// kMaxBatchClasses subjects per mask-AND, in the bit-sliced style of
-/// columnar word-parallel scans (ClassMask and the SIMD kernels live in
-/// exec/mask_ops.h).
+/// The one secure scan cursor of the execution layer: the ε-NoK access
+/// pipeline over NoK document-order pages for a batch of visibility
+/// equivalence classes, one page run at a time. A single subject is a
+/// one-class batch; the paper's unchecked NoK scan (AccessSemantics::kNone)
+/// is this cursor with checks off. Bit k of every mask refers to class k.
 ///
-/// Attach() compiles two tables from the codebook columns of the class
-/// representatives:
-///   - code mask: for a codebook entry, the word of per-class
-///     accessibility bits (the transposed columns). Materialized lazily,
-///     one entry on first touch: a fragment-sized query resolves a handful
-///     of distinct codes, and an eager transpose of the whole codebook
-///     (entries x classes) would dwarf the scan itself on wide batches;
-///   - page dead mask: for every page, the word of classes for which the
-///     in-memory header proves the page wholly inaccessible — exactly
-///     ClassifyPage (nok/nok_store.h) per class, so the batch page skip
-///     agrees with the per-subject one by construction.
+///   fetch (one buffer-pool pin per page run: the cursor keeps the page it
+///     last read pinned while the next records fall on it, and a miss counts
+///     as a fetch wait; see PageRun)
+///     → DOL code decode (from the record's own page — never a second fetch,
+///       which is the paper's zero-extra-I/O property, kept honest by the
+///       `access_only_fetches` counter staying 0; the page's transition list
+///       is validated once per pin, then each code is a binary search)
+///     → ACCESS check (one mask per code, below)
+///     → dead-page skip (pages whose in-memory header proves them wholly
+///       inaccessible to every live class are never loaded).
+///
+/// Access modes, fixed at construction:
+///   - unchecked (Options::secure off): no code is decoded, no page is
+///     skipped, and every record's access is the live mask;
+///   - one class: the class's codebook column (SecureStore::SubjectColumn,
+///     the store's epoch-cached per-subject access table) answers each
+///     code with one bit test;
+///   - several classes: the transposed columns — for a codebook entry, the
+///     mask of per-class accessibility bits — materialized lazily, one entry
+///     on first touch: a fragment-sized query resolves a handful of
+///     distinct codes, and an eager transpose of the whole codebook
+///     (entries x classes) would dwarf the scan itself on wide batches.
+/// Either table fails closed: a code past it (corrupt page bytes) denies
+/// every class, like Codebook::Accessible.
+///
+/// A page's dead mask — the classes for which its in-memory header proves
+/// it wholly inaccessible — is ClassifyPage (nok/nok_store.h) per class:
+/// a clear change bit means every slot carries first_code, so the page is
+/// dead for exactly the classes that cannot access first_code.
 ///
 /// The scan carries a live mask of classes still interested in the current
 /// fragment; a page is skipped (never loaded) when its dead mask covers the
@@ -42,13 +58,18 @@ namespace secxml {
 /// mid-scan. All accessibility masks returned to callers are already
 /// restricted to the requesting live mask.
 ///
-/// Zero-extra-I/O holds exactly as for the per-subject cursor: codes are
-/// decoded from the record's own pinned page, so access_only_fetches stays
-/// structurally 0 no matter the batch width. Like SecureCursor it reads a
-/// page run at a time (PageRun): one pin per run of records on a page, held
-/// only between BeginScan and EndScan and dropped before a different page
-/// is fetched, and one validated decode of the page's transition list per
-/// pin, after which each code is a binary search.
+/// Iteration modes: document-order (ChildWalk yields a parent's children,
+/// page verdicts consulted before each page is touched) and
+/// tag-index-driven (FetchCandidate screens tag-posting candidates against
+/// page verdicts before fetching). The page-scoped mode of the hidden-
+/// interval sweep is PageSweep (exec/page_sweep.h). Direct NokStore and
+/// Codebook probing outside this layer is linted away
+/// (scripts/check_no_direct_fetch.sh).
+///
+/// A scan runs from BeginScan to EndScan (ScopedScan brackets both): the
+/// cursor holds at most one pin, only inside a scan, and drops it before it
+/// fetches a different page (DESIGN.md §6). Scans run under the caller's
+/// SnapshotPin, which must outlive them.
 ///
 /// A cursor is single-threaded; the store underneath is the documented
 /// thread-safe read surface. Stats accumulate across scans until the owner
@@ -57,8 +78,11 @@ namespace secxml {
 class MultiSubjectCursor {
  public:
   struct Options {
+    /// Off = the original non-secure NoK scan: records only, no checks.
+    bool secure = true;
     /// Consult batch page verdicts to skip pages wholly inaccessible to
-    /// every live class (Section 3.3, generalized to the batch).
+    /// every live class (Section 3.3, generalized to the batch). Secure
+    /// scans only.
     bool page_skip = true;
   };
 
@@ -69,10 +93,12 @@ class MultiSubjectCursor {
                      const std::vector<SubjectId>& class_reps,
                      const Options& options);
 
-  /// Compiles the code and page mask tables from the calling thread's
-  /// snapshot of the codebook and page directory. Call once per evaluation,
-  /// under the evaluation's SnapshotPin: updates may commit concurrently,
-  /// and the pin keeps the tables consistent with the pages the scan reads.
+  /// Takes the access table from the calling thread's snapshot of the
+  /// codebook: the one class's column, or an empty transposed-column memo.
+  /// Call once per evaluation, under the evaluation's SnapshotPin: updates
+  /// may commit concurrently, and the pin keeps the table consistent with
+  /// the pages the scan reads. InvalidArgument for an unknown
+  /// representative (secure scans only).
   Status Attach();
 
   /// Begins a fragment-scoped scan: drops any page still held and resets
@@ -85,23 +111,31 @@ class MultiSubjectCursor {
 
   size_t num_classes() const { return class_reps_.size(); }
   /// Mask with one bit per class of this batch.
-  ClassMask FullMask() const { return ClassMask::FirstN(class_reps_.size()); }
+  ClassMask FullMask() const { return full_; }
 
-  /// Mask of per-class accessibility bits for `code`, materialized on
+  /// Mask of per-class accessibility bits for `code`: one column bit for a
+  /// one-class cursor, else the transposed-column entry, materialized on
   /// first touch (the cursor is single-threaded, so the memo needs no
-  /// synchronization). Fails closed: an out-of-range code denies every
+  /// synchronization). Fails closed: a code past the table denies every
   /// class, matching Codebook::Accessible.
-  const ClassMask& AccessMask(uint32_t code) const {
-    static constexpr ClassMask kDenied;
-    if (code >= code_mask_.size()) return kDenied;
+  ClassMask AccessMask(uint32_t code) const {
+    if (class_reps_.size() == 1) {
+      return code < column_.size() && column_.GetUnchecked(code) ? full_
+                                                                 : ClassMask();
+    }
+    if (code >= code_mask_.size()) return ClassMask();
     if (!code_mask_ready_[code]) MaterializeCodeMask(code);
     return code_mask_[code];
   }
 
   /// Mask of classes for which the page at `ordinal` is provably wholly
-  /// inaccessible (per-class ClassifyPage == kDead).
+  /// inaccessible (per-class ClassifyPage == kDead), from the in-memory
+  /// directory alone.
   ClassMask PageDeadMask(size_t ordinal) const {
-    return ordinal < page_dead_.size() ? page_dead_[ordinal] : FullMask();
+    const std::vector<NokStore::PageInfo>& pages = store_->nok()->page_infos();
+    if (ordinal >= pages.size()) return full_;
+    if (pages[ordinal].change_bit) return ClassMask();
+    return full_.AndNot(AccessMask(pages[ordinal].first_code));
   }
 
   /// True when no class in `live` can see anything on the page:
@@ -115,7 +149,8 @@ class MultiSubjectCursor {
   /// it is the page already held). The DOL code is resolved from the same
   /// page (zero extra I/O) and answered for every class with one table load
   /// (*access is not yet masked by any live set); a malformed transition
-  /// list is kCorruption.
+  /// list is kCorruption. Unchecked scans decode nothing: *access is the
+  /// full mask.
   Result<NokRecord> FetchChecked(size_t ordinal, NodeId u, ClassMask* access);
 
   /// Tag-index candidate screening for the batch: a candidate on a page
@@ -126,8 +161,8 @@ class MultiSubjectCursor {
                               NokRecord* rec, ClassMask* access);
 
   /// Next sibling of `u` at `depth` within the parent extent `limit`,
-  /// loading no page that is wholly dead for every class in `live` (the
-  /// in-memory dead-mask table makes each page test O(1), no I/O).
+  /// loading no page that is wholly dead for every class in `live` (each
+  /// page test reads the in-memory directory, no I/O).
   Result<NodeId> NextSiblingSkippingDead(NodeId u, uint16_t depth,
                                          NodeId limit, const ClassMask& live);
 
@@ -140,7 +175,7 @@ class MultiSubjectCursor {
   /// mask), skipping and counting pages dead for every live class. Children
   /// inaccessible to every live class are still yielded (*access == 0) on
   /// live pages, because the walk needs their subtree size to jump to the
-  /// following sibling — mirroring the per-subject ChildWalk.
+  /// following sibling.
   class ChildWalk {
    public:
     /// `parent_rec` must be the record of `parent`; `live` is fixed for the
@@ -178,12 +213,14 @@ class MultiSubjectCursor {
   SecureStore* store_;
   std::vector<SubjectId> class_reps_;
   Options options_;
-  /// Transposed codebook columns: one word of per-class bits per entry,
+  ClassMask full_;
+  /// A one-class cursor's access table: the class's codebook column at
+  /// Attach.
+  BitVector column_;
+  /// Transposed codebook columns: one mask of per-class bits per entry,
   /// lazily materialized (mutable: filling the memo is logically const).
   mutable std::vector<ClassMask> code_mask_;
   mutable std::vector<char> code_mask_ready_;
-  /// Per-page word of classes for which the page is wholly dead.
-  std::vector<ClassMask> page_dead_;
   /// Per-scan bitmap of pages already counted as skipped.
   std::vector<char> skip_counted_;
   /// The page the scan is reading, pinned across its run of records.

@@ -63,8 +63,7 @@ Status FinalizeChunk(SecureStore* store, const PreparedQuery& pq,
       r.operators.push_back({"scan", ExecStats()});
     }
     if (options.semantics == AccessSemantics::kView) {
-      // The class's filter checked each of its roots, as the per-subject
-      // evaluator's does.
+      // The class's filter checks each of its roots once.
       vis_stats[k].nodes_scanned += joined.fragment_matches[k];
       r.operators.push_back({"visibility", vis_stats[k]});
     }
@@ -76,11 +75,65 @@ Status FinalizeChunk(SecureStore* store, const PreparedQuery& pq,
 
 }  // namespace
 
+Result<ExecStats> ScanFragments(
+    SecureStore* store, const PreparedQuery& pq, const EvalOptions& options,
+    const std::vector<SubjectId>& reps,
+    std::vector<std::vector<BatchFragmentMatch>>* matches,
+    NodeId candidate_begin, NodeId candidate_end) {
+  MultiSubjectMatcher::Options mopts;
+  mopts.secure = options.semantics != AccessSemantics::kNone;
+  mopts.page_skip = options.page_skip;
+  mopts.ordered_siblings = options.ordered_siblings;
+  mopts.candidate_begin = candidate_begin;
+  mopts.candidate_end = candidate_end;
+  MultiSubjectMatcher matcher(store, reps, mopts);
+  matches->resize(pq.query.fragments.size());
+  for (size_t f = 0; f < pq.query.fragments.size(); ++f) {
+    SECXML_RETURN_NOT_OK(matcher.MatchFragment(
+        pq.query.fragments[f], pq.designated[f], &(*matches)[f]));
+  }
+  return matcher.exec_stats();
+}
+
+Result<EvalResult> EvaluateOneClass(SecureStore* store,
+                                    const PreparedQuery& pq,
+                                    const EvalOptions& options,
+                                    const ChunkScan& scan) {
+  SECXML_RETURN_NOT_OK(CheckSubjects(
+      store, options.semantics, std::span<const SubjectId>(&options.subject, 1)));
+  const std::vector<SubjectId> reps = {options.subject};
+  std::vector<std::vector<BatchFragmentMatch>> matches(
+      pq.query.fragments.size());
+  std::vector<OperatorStats> scan_ops;
+  SECXML_RETURN_NOT_OK(scan(pq, reps, &matches, &scan_ops));
+  EvalResult result;
+  EvalResult* out = &result;
+  SECXML_RETURN_NOT_OK(FinalizeChunk(store, pq, options, reps, matches,
+                                     std::move(scan_ops), {&out, 1}));
+  result.exec = RollUp(result.operators);
+  return result;
+}
+
+SubjectBatchResult SingleClassBatch(EvalResult result,
+                                    std::span<const SubjectId> subjects) {
+  result.operators.push_back({"batch", BatchCounters(subjects.size(), 1)});
+  result.exec = RollUp(result.operators);
+  SubjectBatchResult batch;
+  ClassEvalResult cls;
+  cls.subjects.assign(subjects.begin(), subjects.end());
+  cls.result = std::move(result);
+  batch.classes.push_back(std::move(cls));
+  batch.class_of.assign(subjects.size(), 0);
+  batch.exec = batch.classes[0].result.exec;
+  return batch;
+}
+
 Result<SubjectBatchResult> EvaluateClassBatch(
     SecureStore* store, const SecureStore::SnapshotPin& pin,
     const PatternTree& pattern, std::span<const SubjectId> subjects,
     const EvalOptions& options, const QueryCaches& caches,
     const ChunkScan& scan) {
+  SECXML_RETURN_NOT_OK(CheckSubjects(store, options.semantics, subjects));
   SubjectBatchResult batch;
 
   // Group by codebook column: classes are exact (every subject-dependent
@@ -151,17 +204,12 @@ Result<SubjectBatchResult> EvaluateClassBatch(
                    &acl_independent);
   }
 
-  // Evaluate the miss classes in chunks of up to chunk_cap: one structural
-  // scan and one mask join per chunk. With 512-wide masks almost every
-  // batch collapses to a single chunk; the option keeps the chunked path
-  // reachable for tests and tuning.
-  const size_t chunk_cap =
-      options.batch_chunk_classes == 0
-          ? kMaxBatchClasses
-          : std::min(options.batch_chunk_classes, kMaxBatchClasses);
+  // Evaluate the miss classes in chunks of up to kMaxBatchClasses: one
+  // structural scan and one mask join per chunk.
   for (size_t chunk_begin = 0; chunk_begin < miss.size();
-       chunk_begin += chunk_cap) {
-    const size_t chunk_end = std::min(miss.size(), chunk_begin + chunk_cap);
+       chunk_begin += kMaxBatchClasses) {
+    const size_t chunk_end =
+        std::min(miss.size(), chunk_begin + kMaxBatchClasses);
     const size_t width = chunk_end - chunk_begin;
     std::vector<SubjectId> reps;
     reps.reserve(width);
@@ -237,23 +285,14 @@ Result<SubjectBatchResult> BatchEvaluator::Evaluate(
   SecureStore::SnapshotPin pin(store_);
 
   // Without access control every subject sees the whole document: the batch
-  // is one equivalence class, evaluated once by the per-subject path
-  // (through the caches when attached — the key's class half is {0,0}).
+  // is one equivalence class, evaluated once (through the caches when
+  // attached — the key's class half is {0,0}).
   if (options.semantics == AccessSemantics::kNone) {
     QueryEvaluator eval(store_);
     SECXML_ASSIGN_OR_RETURN(
         EvalResult r,
         EvaluateWithCaches(store_, &eval, pattern, options, caches_));
-    r.operators.push_back({"batch", BatchCounters(subjects.size(), 1)});
-    r.exec = RollUp(r.operators);
-    SubjectBatchResult batch;
-    ClassEvalResult cls;
-    cls.subjects.assign(subjects.begin(), subjects.end());
-    cls.result = std::move(r);
-    batch.classes.push_back(std::move(cls));
-    batch.class_of.assign(subjects.size(), 0);
-    batch.exec = batch.classes[0].result.exec;
-    return batch;
+    return SingleClassBatch(std::move(r), subjects);
   }
 
   // Each chunk's one structural scan: a multi-subject matcher over the
@@ -261,15 +300,9 @@ Result<SubjectBatchResult> BatchEvaluator::Evaluate(
   auto scan = [&](const PreparedQuery& pq, const std::vector<SubjectId>& reps,
                   std::vector<std::vector<BatchFragmentMatch>>* matches,
                   std::vector<OperatorStats>* operators) -> Status {
-    MultiSubjectMatcher::Options mopts;
-    mopts.page_skip = options.page_skip;
-    mopts.ordered_siblings = options.ordered_siblings;
-    MultiSubjectMatcher matcher(store_, reps, mopts);
-    for (size_t f = 0; f < pq.query.fragments.size(); ++f) {
-      SECXML_RETURN_NOT_OK(matcher.MatchFragment(
-          pq.query.fragments[f], pq.designated[f], &(*matches)[f]));
-    }
-    operators->push_back({"scan", matcher.exec_stats()});
+    SECXML_ASSIGN_OR_RETURN(ExecStats stats,
+                            ScanFragments(store_, pq, options, reps, matches));
+    operators->push_back({"scan", stats});
     return Status::OK();
   };
   return EvaluateClassBatch(store_, pin, pattern, subjects, options, caches_,

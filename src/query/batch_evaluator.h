@@ -51,26 +51,59 @@ using ChunkScan = std::function<Status(
     std::vector<std::vector<BatchFragmentMatch>>* matches,
     std::vector<OperatorStats>* operators)>;
 
-/// The class-batch pipeline behind BatchEvaluator and the sharded
+/// One structural scan over the calling thread's snapshot: every fragment
+/// of `pq` through one MultiSubjectMatcher for the classes `reps`, with
+/// `options`' semantics (kNone scans unchecked), page skip and sibling
+/// order, admitting only candidate roots in [candidate_begin,
+/// candidate_end). Fills `matches` (one list per fragment) and returns the
+/// scan's cursor counters. The building block of every ChunkScan.
+Result<ExecStats> ScanFragments(
+    SecureStore* store, const PreparedQuery& pq, const EvalOptions& options,
+    const std::vector<SubjectId>& reps,
+    std::vector<std::vector<BatchFragmentMatch>>* matches,
+    NodeId candidate_begin = 0, NodeId candidate_end = kInvalidNode);
+
+/// The class-batch pipeline behind BatchEvaluator and the window-parallel
 /// coordinator (src/serve), for access-controlled semantics under the
 /// caller's pin (both callers collapse kNone to one class themselves):
+/// checks that every subject exists (InvalidArgument before any scan),
 /// groups `subjects` into visibility classes, serves classes from the
-/// result cache, runs `scan` once per chunk of the rest, and finalizes each
-/// chunk with one mask join (JoinBatchMatches) over every class's hidden
-/// intervals. The chunk's shared work — its scan operators, the join and
-/// the batch counters — lands on the chunk's first class; every other class
-/// carries an empty "scan" and "join" operator and its own "visibility"
-/// operator, so each class result has the per-subject operator shape and
-/// the batch rollup is the sum of the class rollups.
+/// result cache, runs `scan` once per chunk of at most kMaxBatchClasses of
+/// the rest, and finalizes each chunk with one mask join
+/// (JoinBatchMatches) over every class's hidden intervals. The chunk's
+/// shared work — its scan operators, the join and the batch counters —
+/// lands on the chunk's first class; every other class carries an empty
+/// "scan" and "join" operator and its own "visibility" operator, so each
+/// class result has the single-subject operator shape and the batch rollup
+/// is the sum of the class rollups.
 Result<SubjectBatchResult> EvaluateClassBatch(
     SecureStore* store, const SecureStore::SnapshotPin& pin,
     const PatternTree& pattern, std::span<const SubjectId> subjects,
     const EvalOptions& options, const QueryCaches& caches,
     const ChunkScan& scan);
 
+/// One subject's evaluation (EvalOptions::subject) as a one-class chunk of
+/// the same pipeline, under the caller's pin and without grouping or cache
+/// plumbing: checks the subject (access-controlled semantics only), runs
+/// `scan` with reps = {subject}, and finalizes with the chunk finalize
+/// EvaluateClassBatch uses. The result carries the scan's operators,
+/// "visibility" (view semantics) and "join"; fragment_matches counts the
+/// matches before the visibility filter. QueryEvaluator and the
+/// coordinator's single-subject entry points are this call.
+Result<EvalResult> EvaluateOneClass(SecureStore* store,
+                                    const PreparedQuery& pq,
+                                    const EvalOptions& options,
+                                    const ChunkScan& scan);
+
+/// Wraps the one evaluation of a subject-independent (kNone) batch as the
+/// batch's only class: every subject maps to it, and a "batch" operator
+/// records the subjects it answered.
+SubjectBatchResult SingleClassBatch(EvalResult result,
+                                    std::span<const SubjectId> subjects);
+
 /// Multi-subject batch evaluator: answers one twig query for a whole batch
 /// of subjects with one structural scan per chunk of at most
-/// kMaxBatchClasses (512) classes.
+/// kMaxBatchClasses (128) classes.
 ///
 ///  1. Subjects are grouped into visibility equivalence classes by codebook
 ///     column (GroupSubjectsByColumn). Identical columns imply identical
@@ -83,12 +116,13 @@ Result<SubjectBatchResult> EvaluateClassBatch(
 ///  3. One mask-valued ε-STD join per chunk (JoinBatchMatches) applies
 ///     every class's view-semantics visibility filter, validity and reach
 ///     at once and fans the answers out by class. For each class it equals
-///     the per-subject evaluator's FilterMatchesVisible + JoinMatches on
-///     the class's projection of the matches, so per-class results equal
-///     QueryEvaluator::Evaluate for the class representative.
+///     the visibility filter and structural join run on the class's
+///     projection of the matches, so per-class results equal
+///     QueryEvaluator::Evaluate (a one-class chunk) for the class
+///     representative.
 ///
 /// Under AccessSemantics::kNone answers are subject-independent: the whole
-/// batch is one class evaluated by the per-subject path.
+/// batch is one class, evaluated once as an unchecked one-class chunk.
 ///
 /// EvalOptions::subject is ignored (the span governs).
 /// With caches attached (DESIGN.md §14), each class probes the ResultCache

@@ -17,20 +17,23 @@ struct BatchJoinResult {
   /// answers[k]: class k's answers, ascending and duplicate-free.
   std::vector<std::vector<NodeId>> answers;
   /// fragment_matches[k]: matches carrying class k's `ok` bit, counted
-  /// before the visibility filter — the per-subject evaluator's count, and
-  /// the roots class k's visibility filter checks.
+  /// before the visibility filter — EvalResult::fragment_matches, and the
+  /// roots class k's visibility filter checks.
   std::vector<size_t> fragment_matches;
   /// The join's work, done once for every class (nodes_scanned counts the
   /// bindings and roots each sweep consumed).
   ExecStats join;
 };
 
-/// The mask-valued ε-STD join (Section 4.2) of one batch chunk: reads the
-/// chunk's BatchFragmentMatch lists once and answers every class together.
-/// For every class k < `width` the result equals projecting bit k out of
-/// `matches` (matches whose `ok` has bit k, bindings filtered to bit k),
-/// then FilterMatchesVisible(*hidden[k]), then JoinMatches — answers and
-/// fragment_matches alike.
+/// The mask-valued ε-STD join (Section 4.2) of one batch chunk — every
+/// evaluation's one join, a single subject being a one-class chunk: reads
+/// the chunk's BatchFragmentMatch lists once and answers every class
+/// together. For every class k < `width` the result equals projecting bit k
+/// out of `matches` (matches whose `ok` has bit k, bindings filtered to bit
+/// k), dropping the matches whose root lies in one of class k's hidden
+/// intervals, then the bottom-up validity and top-down reachability
+/// semijoins of the (ε-)STD join — answers and fragment_matches alike
+/// (tests/query/join_oracle.h is that per-class pipeline).
 ///
 /// `hidden` is empty under binding semantics; under view semantics it holds
 /// one sorted, disjoint interval list per class. Match roots must ascend
@@ -44,8 +47,7 @@ struct BatchJoinResult {
 ///    class k's hidden intervals.
 ///  - Bottom-up validity: a binding (node, end) connects for its mask AND
 ///    the OR of the valid masks of child roots r with node < r < end
-///    (strict, as JoinMatches' upper_bound: a child root equal to the
-///    binding's node does not count).
+///    (strict: a child root equal to the binding's node does not count).
 ///  - Top-down reach: a stack of open join sources with cumulative masks
 ///    answers which classes reach each child root.
 ///  - Answers: returning bindings masked by their match's reach, merged by

@@ -7,24 +7,24 @@ namespace secxml {
 namespace {
 
 /// Narrows every binding appended after the frame's marks to `keep` and
-/// drops bindings whose mask ran empty (no class keeps them). Dropping only
-/// touches the appended suffix, so marks recorded by enclosing frames stay
-/// valid. This is the mask analogue of NokMatcher's rollback-by-resize.
+/// drops bindings whose mask ran empty (no class keeps them): the mask
+/// form of Algorithm 1's rollback. Dropping only touches the appended
+/// suffix, so marks recorded by enclosing frames stay valid. A frame's
+/// appends carry subsets of its live mask, so callers skip the call when
+/// every live class succeeded: there is nothing to narrow.
 void NarrowAppended(BatchFragmentMatch* match,
                     const std::vector<size_t>& marks, size_t base,
                     const ClassMask& keep) {
-  const MaskKernels& kernels = ActiveMaskKernels();
   for (size_t i = 0; i < match->bindings.size(); ++i) {
     std::vector<MaskedBinding>& slot = match->bindings[i];
-    size_t from = marks[base + i];
-    if (from < slot.size()) {
-      kernels.and_broadcast_strided(&slot[from].mask, sizeof(MaskedBinding),
-                                    slot.size() - from, keep);
+    size_t kept = marks[base + i];
+    for (size_t j = kept; j < slot.size(); ++j) {
+      const ClassMask m = slot[j].mask & keep;
+      if (m.none()) continue;
+      slot[kept] = slot[j];
+      slot[kept++].mask = m;
     }
-    slot.erase(
-        std::remove_if(slot.begin() + static_cast<long>(from), slot.end(),
-                       [](const MaskedBinding& b) { return b.mask.none(); }),
-        slot.end());
+    slot.resize(kept);
   }
 }
 
@@ -53,8 +53,8 @@ Result<ClassMask> MultiSubjectMatcher::MatchChildrenOrdered(
     const ClassMask& live, BatchFragmentMatch* match) {
   // Materialize the data children once with their batch access masks.
   // Children no live class can access can never participate for anyone and
-  // are dropped, like the per-subject walk drops inaccessible children;
-  // per-class projections see their own accessible subsequence either way.
+  // are dropped (Algorithm 1's pruning); per-class projections see their
+  // own accessible subsequence either way.
   struct Child {
     NodeId node;
     NokRecord rec;
@@ -180,7 +180,8 @@ Result<ClassMask> MultiSubjectMatcher::Npm(int pnode, NodeId sroot,
   const ResolvedPattern& pat = resolved_[pnode];
   // Mark this frame's binding positions on the shared stack; the frame exit
   // narrows everything appended here to the frame's success mask (the mask
-  // analogue of the per-subject rollback).
+  // form of Algorithm 1's rollback). On error the whole fragment match
+  // aborts and MatchFragment resets the stack.
   const size_t nb = match->bindings.size();
   const size_t base = mark_stack_.size();
   for (size_t i = 0; i < nb; ++i) {
@@ -194,7 +195,7 @@ Result<ClassMask> MultiSubjectMatcher::Npm(int pnode, NodeId sroot,
     SECXML_ASSIGN_OR_RETURN(
         ClassMask ok,
         MatchChildrenOrdered(*pat.children, sroot, srec, live, match));
-    NarrowAppended(match, mark_stack_, base, ok);
+    if (ok != live) NarrowAppended(match, mark_stack_, base, ok);
     mark_stack_.resize(base);
     return ok;
   }
@@ -211,10 +212,9 @@ Result<ClassMask> MultiSubjectMatcher::Npm(int pnode, NodeId sroot,
     ClassMask amask;
     for (;;) {
       if (!has_collectors) {
-        // Stop once every live class has satisfied every pattern child —
-        // the batch form of the per-subject early exit. Classes done
-        // earlier simply stop contributing want bits while the walk serves
-        // the rest.
+        // Stop once every live class has satisfied every pattern child
+        // (Algorithm 1's loop condition). Classes done earlier simply stop
+        // contributing want bits while the walk serves the rest.
         ClassMask all_sat = live;
         for (ClassMask s : satisfied) all_sat &= s;
         if (all_sat == live) break;
@@ -243,7 +243,7 @@ Result<ClassMask> MultiSubjectMatcher::Npm(int pnode, NodeId sroot,
   // Algorithm 1 lines 14-16, mask-valued: classes that failed the subtree
   // lose their bits on everything appended here (including this node's own
   // designated binding).
-  NarrowAppended(match, mark_stack_, base, ok_mask);
+  if (ok_mask != live) NarrowAppended(match, mark_stack_, base, ok_mask);
   mark_stack_.resize(base);
   return ok_mask;
 }
@@ -255,9 +255,9 @@ Status MultiSubjectMatcher::MatchFragment(const QueryFragment& fragment,
   SECXML_RETURN_NOT_OK(fragment.tree.Validate());
   NokStore* nok = store_->nok();
 
-  // The mask tables are a per-evaluation snapshot, shared by every fragment
+  // The access table is a per-evaluation snapshot, shared by every fragment
   // of the query: the evaluation's SnapshotPin holds one epoch throughout,
-  // so concurrent commits cannot change what the tables describe.
+  // so concurrent commits cannot change what the table describes.
   if (!attached_) {
     SECXML_RETURN_NOT_OK(cursor_.Attach());
     attached_ = true;
@@ -267,7 +267,7 @@ Status MultiSubjectMatcher::MatchFragment(const QueryFragment& fragment,
   ScopedScan<MultiSubjectCursor> scan(&cursor_);
   mark_stack_.clear();
 
-  // Resolve pattern tags once (identical to NokMatcher).
+  // Resolve pattern tags once.
   resolved_.clear();
   resolved_.resize(fragment.tree.nodes.size());
   for (size_t i = 0; i < fragment.tree.nodes.size(); ++i) {
@@ -294,10 +294,12 @@ Status MultiSubjectMatcher::MatchFragment(const QueryFragment& fragment,
     }
   }
 
-  // Candidate roots come from the tag index (or the document root), so one
-  // candidate stream serves the whole batch. The options' candidate window
-  // restricts which roots this matcher owns (sharded scatter; see
-  // NokMatcher::MatchFragment).
+  // Candidate roots: the document root when anchored, else the tag index
+  // postings (Section 4.1: B+-trees on tag names start the matching), so
+  // one candidate stream serves the whole batch. The options' candidate
+  // window restricts which roots this matcher owns (window-parallel
+  // scatter); every source below emits ascending ids, so the window is a
+  // contiguous slice of the stream.
   const NodeId cbegin = options_.candidate_begin;
   const NodeId cend = std::min<NodeId>(options_.candidate_end,
                                        static_cast<NodeId>(nok->num_nodes()));

@@ -1,6 +1,7 @@
 #ifndef SECXML_QUERY_EVALUATOR_H_
 #define SECXML_QUERY_EVALUATOR_H_
 
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -8,7 +9,6 @@
 #include "core/secure_store.h"
 #include "exec/exec_stats.h"
 #include "query/decomposer.h"
-#include "query/matcher.h"
 #include "query/pattern_tree.h"
 
 namespace secxml {
@@ -33,12 +33,8 @@ struct EvalOptions {
   /// Use the in-memory DOL page headers to skip wholly inaccessible pages.
   bool page_skip = true;
   /// Require sibling pattern nodes to bind in document order (NoK's ordered
-  /// pattern trees; see NokMatcher::Options::ordered_siblings).
+  /// pattern trees; see MultiSubjectMatcher::Options::ordered_siblings).
   bool ordered_siblings = false;
-  /// Batch evaluation only: cap on visibility classes per structural scan.
-  /// 0 means the full mask width (kMaxBatchClasses); tests set a smaller
-  /// cap to pin the one-wide-scan path byte-identical to the chunked one.
-  size_t batch_chunk_classes = 0;
 };
 
 /// Evaluation outcome plus the counters the paper's Figure 7 reports.
@@ -51,7 +47,8 @@ struct EvalResult {
   /// Per-operator execution counters: "scan" (the ε-NoK matcher's cursor),
   /// "visibility" (the hidden-interval sweep + root filtering, view
   /// semantics only; sweep costs appear on the query that computed the
-  /// cached intervals), "join" (validity + reachability semijoins).
+  /// cached intervals), "join" (the mask join's validity + reachability
+  /// sweeps).
   std::vector<OperatorStats> operators;
   /// Rollup of `operators`. `exec.access_only_fetches` staying 0 is the
   /// paper's zero-extra-I/O claim as a measured value; `exec.pages_skipped`
@@ -62,9 +59,8 @@ struct EvalResult {
 /// A pattern tree decomposed and wired for evaluation: the fragment list
 /// plus the slot bookkeeping every evaluation needs (which pattern nodes are
 /// designated per fragment, which slot joins to each child fragment, which
-/// slot returns answers). Pattern-only — shared verbatim by the per-subject
-/// evaluator and the multi-subject batch evaluator, which is what pins the
-/// two pipelines to the same plan.
+/// slot returns answers). Pattern-only — shared verbatim by every
+/// evaluation and cached by the plan cache.
 struct PreparedQuery {
   DecomposedQuery query;
   /// Child fragments of each fragment.
@@ -81,25 +77,19 @@ struct PreparedQuery {
 /// Decomposes `pattern` and computes the slot wiring above.
 Status PrepareQuery(const PatternTree& pattern, PreparedQuery* out);
 
-/// View-semantics visibility filter (ε-STD, Section 4.2): drops every
-/// fragment match whose root lies inside a hidden interval, in place. Match
-/// roots must ascend (the matcher visits candidates in document order).
-/// Counts consumed items into `stats`.
-void FilterMatchesVisible(const std::vector<NodeInterval>& hidden,
-                          std::vector<std::vector<FragmentMatch>>* matches,
-                          ExecStats* stats);
-
-/// Connects fragment matches with the (ε-)STD ancestor-descendant semijoins
-/// (bottom-up validity, then top-down reachability) and collects the
-/// returning-node bindings of complete matches into sorted, duplicate-free
-/// `answers`. Counts join work into `join_stats`.
-void JoinMatches(const PreparedQuery& pq,
-                 const std::vector<std::vector<FragmentMatch>>& matches,
-                 std::vector<NodeId>* answers, ExecStats* join_stats);
+/// InvalidArgument ("no such subject") unless every subject exists in the
+/// calling thread's snapshot of `store`'s codebook. Subject-independent
+/// evaluation (kNone) accepts any subject. Every entry point checks this
+/// before probing a cache or scanning: an unknown subject would otherwise
+/// be answered as the all-denied column.
+Status CheckSubjects(SecureStore* store, AccessSemantics semantics,
+                     std::span<const SubjectId> subjects);
 
 /// Secure twig query evaluator: decomposes the pattern into NoK fragments,
 /// matches them with (ε-)NoK, and connects fragments with (ε-)STD
-/// ancestor-descendant joins (paper Sections 3-4).
+/// ancestor-descendant joins (paper Sections 3-4). One subject is a
+/// one-class chunk of the batch pipeline (EvaluateOneClass): the same
+/// matcher, cursor and mask join answer every subject and every batch.
 class QueryEvaluator {
  public:
   explicit QueryEvaluator(SecureStore* store) : store_(store) {}

@@ -172,10 +172,10 @@ std::shared_ptr<const CachedEvalResult> MakeCachePayload(
   return payload;
 }
 
-Result<EvalResult> EvaluateWithCaches(SecureStore* store, QueryEvaluator* eval,
-                                      const PatternTree& pattern,
-                                      const EvalOptions& options,
-                                      const QueryCaches& caches) {
+Result<EvalResult> EvaluateSubjectWithCaches(
+    SecureStore* store, const PatternTree& pattern, const EvalOptions& options,
+    const QueryCaches& caches,
+    const std::function<Result<EvalResult>(const PreparedQuery&)>& evaluate) {
   cache::ResultCache* rcache = caches.ResultsEnabled();
   QueryPlanCache* pcache = caches.plans;
 
@@ -185,12 +185,17 @@ Result<EvalResult> EvaluateWithCaches(SecureStore* store, QueryEvaluator* eval,
   }
   SECXML_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedQuery> plan,
                           ResolvePlan(pattern, normalized, pcache));
-  if (rcache == nullptr) return eval->EvaluatePrepared(*plan, options);
+  if (rcache == nullptr) return evaluate(*plan);
 
   // Pin before probing so the probe epoch and the (possible) live
-  // evaluation agree on one snapshot — EvaluatePrepared's inner pin adopts
-  // this one.
+  // evaluation agree on one snapshot — the evaluation's inner pin adopts
+  // this one (and this one adopts a pin the caller already holds).
   SecureStore::SnapshotPin pin(store);
+  // An unknown subject would probe as the all-denied column; reject it
+  // before the probe, as the live path does before its scan.
+  SECXML_RETURN_NOT_OK(CheckSubjects(
+      store, options.semantics,
+      std::span<const SubjectId>(&options.subject, 1)));
   ColumnFingerprint fp;  // {0,0} when the answer is subject-independent
   if (options.semantics != AccessSemantics::kNone) {
     fp = store->SubjectColumnFingerprint(options.subject);
@@ -202,7 +207,7 @@ Result<EvalResult> EvaluateWithCaches(SecureStore* store, QueryEvaluator* eval,
     return MakeCachedResult(probe.payload, probe.waits);
   }
   FlightGuard flight(rcache, key);
-  Result<EvalResult> r = eval->EvaluatePrepared(*plan, options);
+  Result<EvalResult> r = evaluate(*plan);
   if (!r.ok()) return r;  // the guard abandons the flight
 
   cache::ResultCache::Entry entry;
@@ -219,6 +224,15 @@ Result<EvalResult> EvaluateWithCaches(SecureStore* store, QueryEvaluator* eval,
   r->operators.push_back({"cache", cache_stats});
   r->exec = RollUp(r->operators);
   return r;
+}
+
+Result<EvalResult> EvaluateWithCaches(SecureStore* store, QueryEvaluator* eval,
+                                      const PatternTree& pattern,
+                                      const EvalOptions& options,
+                                      const QueryCaches& caches) {
+  return EvaluateSubjectWithCaches(
+      store, pattern, options, caches,
+      [&](const PreparedQuery& pq) { return eval->EvaluatePrepared(pq, options); });
 }
 
 }  // namespace secxml

@@ -2,6 +2,7 @@
 #define SECXML_QUERY_QUERY_CACHE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -113,12 +114,22 @@ std::shared_ptr<const CachedEvalResult> MakeCachePayload(
     const EvalResult& result);
 
 /// Full cached evaluation of one (subject, pattern) job: plan-cache lookup
-/// (or a fresh PrepareQuery), then a blocking result-cache probe
-/// (single-flight: concurrent misses on one key evaluate once) and, on a
-/// miss, a live evaluation followed by publication. With both caches null
-/// (or the result cache disabled by env) this degenerates to exactly
-/// QueryEvaluator::Evaluate. The caller must not hold a flight on another
-/// key (QueryDriver workers never do — one job at a time).
+/// (or a fresh PrepareQuery), then — for a known subject (InvalidArgument
+/// otherwise) — a blocking result-cache probe (single-flight: concurrent
+/// misses on one key evaluate once) and, on a miss, `evaluate` of the
+/// resolved plan followed by publication. With both caches null (or the
+/// result cache disabled by env) this is exactly `evaluate`. The body of
+/// EvaluateWithCaches and of ShardCoordinator::Evaluate. The caller must
+/// not hold a flight on another key (QueryDriver workers never do — one
+/// job at a time).
+Result<EvalResult> EvaluateSubjectWithCaches(
+    SecureStore* store, const PatternTree& pattern, const EvalOptions& options,
+    const QueryCaches& caches,
+    const std::function<Result<EvalResult>(const PreparedQuery&)>& evaluate);
+
+/// EvaluateSubjectWithCaches with QueryEvaluator::EvaluatePrepared as the
+/// live evaluation: with both caches null this is exactly
+/// QueryEvaluator::Evaluate.
 Result<EvalResult> EvaluateWithCaches(SecureStore* store, QueryEvaluator* eval,
                                       const PatternTree& pattern,
                                       const EvalOptions& options,

@@ -93,7 +93,7 @@ void AggregateBatchStats(BatchResult* batch);
 
 /// Parallel secure-query driver: evaluates a batch of (subject, pattern)
 /// jobs over one shared SecureStore on a fixed-size worker pool. Each worker
-/// owns its QueryEvaluator/NokMatcher state; the store is only read (the
+/// owns its QueryEvaluator and matcher state; the store is only read (the
 /// thread-safe surface documented on SecureStore/NokStore/BufferPool), so
 /// per-query results are identical to evaluating the same jobs serially.
 /// Jobs are handed out through an atomic cursor, so long and short queries
@@ -115,8 +115,8 @@ class QueryDriver {
   /// Evaluates one pattern for a whole batch of subjects with the
   /// word-parallel batch pipeline (BatchEvaluator): subjects collapse into
   /// visibility equivalence classes, each chunk of at most kMaxBatchClasses
-  /// (512) classes shares one structural scan, and every subject's answer
-  /// is byte-identical to a per-subject Run() of the same query. Uses the
+  /// (128) classes shares one structural scan, and every subject's answer
+  /// is byte-identical to a one-subject Run() of the same query. Uses the
   /// driver's semantics, page_skip, and ordered_siblings settings.
   Result<SubjectBatchResult> EvaluateForSubjects(
       const PatternTree& pattern, std::span<const SubjectId> subjects);

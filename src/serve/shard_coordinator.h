@@ -22,9 +22,6 @@ struct ShardCoordinatorOptions {
   AccessSemantics semantics = AccessSemantics::kBinding;
   bool page_skip = true;
   bool ordered_siblings = false;
-  /// Batch evaluation: cap on visibility classes per structural scan
-  /// (see EvalOptions::batch_chunk_classes).
-  size_t batch_chunk_classes = 0;
   /// Cross-request caches (DESIGN.md §14), probed at the COORDINATOR —
   /// before any scatter — so a hit skips every window's scan. Invalidation
   /// attaches to the one store (AttachResultCacheInvalidation on
@@ -41,23 +38,25 @@ struct ShardCoordinatorOptions {
 /// epoch while a writer commits, and the windows always tile the node count
 /// of that epoch.
 ///
-/// Scatter: each window runs the fragment matchers with its node range as
+/// Scatter: each window runs one MultiSubjectMatcher with its node range as
 /// the candidate window ([ShardRange.first_node, end_node)) over the one
-/// store and buffer pool — for batches, each window's scan has its own
-/// MultiSubjectCursor mask tables. The ranges tile [0, num_nodes), so every
-/// candidate is matched exactly once, and because every window reads the
-/// full structure, a match whose subtree spans past the window's end is
-/// produced whole by the window holding its root.
+/// store and buffer pool — a single subject as a one-class scan, a batch
+/// chunk with every class of the chunk, each window's scan with its own
+/// cursor. The ranges tile [0, num_nodes), so every candidate is matched
+/// exactly once, and because every window reads the full structure, a
+/// match whose subtree spans past the window's end is produced whole by the
+/// window holding its root. Evaluate, Run and EvaluateForSubjects all use
+/// this one window scan.
 ///
 /// Gather: windows ascend in document order, so concatenating the
 /// per-window match streams window by window IS the document-order merge;
 /// each appended match verifies its root against the running maximum
 /// (merge_comparisons) so the order the join requires is proved, not
 /// assumed. The window scans are not read again, so their matches move
-/// into the merged streams. The ε-STD join — for batches the one mask join
-/// of every class in the chunk (JoinBatchMatches) — then runs once at the
-/// coordinator on the merged streams, making every answer byte-identical to
-/// the single-store evaluators'.
+/// into the merged streams. The mask ε-STD join (JoinBatchMatches) then
+/// runs once at the coordinator on the merged streams through the same
+/// chunk finalize as the single-store evaluators (EvaluateOneClass,
+/// EvaluateClassBatch), making every answer byte-identical to theirs.
 ///
 /// Class routing: EvaluateForSubjects runs BatchEvaluator's own pipeline
 /// (EvaluateClassBatch) at the coordinator under the request's pin —
@@ -65,6 +64,9 @@ struct ShardCoordinatorOptions {
 /// each chunk's structural scan scattered across the windows, so each
 /// window evaluates each equivalence class at most once per chunk via its
 /// multi-subject cursor.
+///
+/// Unknown subjects (access-controlled semantics) are InvalidArgument
+/// before any cache probe or scan; in Run() only the affected job fails.
 ///
 /// Failure: scatter tasks fail independently. In Run(), one window's I/O
 /// error fails only the jobs whose scatter touched it (first failing window
@@ -91,37 +93,40 @@ class ShardCoordinator {
       const PatternTree& pattern, std::span<const SubjectId> subjects);
 
  private:
-  /// Matches every fragment of `pq` within candidate window `window`. Runs
-  /// on a scatter worker, which adopts the request's pin `pin`.
-  /// View-semantics visibility filtering runs at the coordinator on the
-  /// merged streams, matching the single-store operator order.
+  /// One window's structural scan: every fragment of `pq` for the classes
+  /// `reps` within candidate window `range`. Runs on a scatter worker,
+  /// which adopts the request's pin `pin`. View-semantics visibility
+  /// filtering runs at the coordinator on the merged streams, matching the
+  /// single-store operator order.
   struct WindowScan {
     Status status = Status::OK();
-    std::vector<std::vector<FragmentMatch>> matches;
+    std::vector<std::vector<BatchFragmentMatch>> matches;
     ExecStats scan;
     int64_t micros = 0;
   };
   WindowScan ScanWindow(const SecureStore::SnapshotPin& pin,
-                        const ShardRange& window, const PreparedQuery& pq,
-                        SubjectId subject);
+                        const ShardRange& range, const PreparedQuery& pq,
+                        const std::vector<SubjectId>& reps);
 
   /// Gathers per-window streams into document-order merged `matches`,
-  /// verifying order and counting the merge work into `merge`. The
-  /// windows' matches are moved out, not copied.
-  Status GatherMatches(std::vector<WindowScan>* scans,
-                       std::vector<std::vector<FragmentMatch>>* matches,
-                       ExecStats* merge, size_t* fragment_matches);
+  /// verifying order, and appends one "scan" operator per window plus the
+  /// "merge" operator. The windows' matches are moved out, not copied.
+  static Status GatherWindows(
+      std::vector<WindowScan>* scans,
+      std::vector<std::vector<BatchFragmentMatch>>* matches,
+      std::vector<OperatorStats>* operators);
 
-  /// Body of Evaluate under the request's pin and a resolved plan (so the
-  /// batch path can reuse the pin and the cache path shares the plan with
-  /// its probe).
-  Result<EvalResult> EvaluatePinned(const SecureStore::SnapshotPin& pin,
-                                    const PreparedQuery& pq,
-                                    SubjectId subject);
+  /// A request's chunk scan (a ChunkScan): ScanWindow on every window of
+  /// the pinned snapshot, then GatherWindows.
+  Status ScatterScan(const SecureStore::SnapshotPin& pin,
+                     const PreparedQuery& pq,
+                     const std::vector<SubjectId>& reps,
+                     std::vector<std::vector<BatchFragmentMatch>>* matches,
+                     std::vector<OperatorStats>* operators);
 
-  /// Cache-aware body of Evaluate under the request's pin: resolves the
-  /// plan (through the plan cache), probes the result cache with
-  /// single-flight, scatters only on a miss, publishes after the join.
+  /// Body of Evaluate under the request's pin: the single-subject cache
+  /// path (EvaluateSubjectWithCaches) around a one-class chunk whose scan
+  /// scatters across the windows, so a cache hit never scatters.
   Result<EvalResult> EvaluateCachedPinned(const SecureStore::SnapshotPin& pin,
                                           const PatternTree& pattern,
                                           SubjectId subject);

@@ -1,15 +1,11 @@
-// WideClassMask semantics against a naive bit-set reference, and the
-// dispatched SIMD kernel tiers (scalar / AVX2 / AVX-512) pinned bit-identical
-// to each other on randomized mask arrays — including the strided variant
-// over an 80-byte struct that mirrors MaskedBinding's layout.
+// WideClassMask semantics against a naive bit-set reference, across both
+// words of the mask, and the provenance shim's name.
 
 #include "exec/mask_ops.h"
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <bitset>
-#include <cstring>
 #include <vector>
 
 #include "common/rng.h"
@@ -35,14 +31,14 @@ Ref ToRef(const WideClassMask& m) {
 
 TEST(WideClassMaskTest, BitAndFirstN) {
   for (size_t k : {size_t{0}, size_t{1}, size_t{63}, size_t{64}, size_t{65},
-                   size_t{200}, size_t{511}}) {
+                   size_t{100}, size_t{127}}) {
     WideClassMask m = WideClassMask::Bit(k);
     EXPECT_EQ(m.count(), 1u);
     EXPECT_TRUE(m.Test(k));
     EXPECT_EQ(m.FirstSetBit(), k);
   }
   for (size_t n : {size_t{0}, size_t{1}, size_t{63}, size_t{64}, size_t{65},
-                   size_t{128}, size_t{320}, size_t{511}, size_t{512}}) {
+                   size_t{100}, size_t{127}, size_t{128}}) {
     WideClassMask m = WideClassMask::FirstN(n);
     EXPECT_EQ(m.count(), n) << n;
     for (size_t k = 0; k < kMaxBatchClasses; ++k) {
@@ -57,15 +53,15 @@ TEST(WideClassMaskTest, SetResetAnyNoneCount) {
   EXPECT_FALSE(m.any());
   EXPECT_EQ(m.count(), 0u);
   EXPECT_EQ(m.FirstSetBit(), kMaxBatchClasses);
-  m.Set(70);
-  m.Set(400);
+  m.Set(30);
+  m.Set(120);
   EXPECT_TRUE(m.any());
   EXPECT_EQ(m.count(), 2u);
-  EXPECT_EQ(m.FirstSetBit(), 70u);
-  m.Reset(70);
+  EXPECT_EQ(m.FirstSetBit(), 30u);
+  m.Reset(30);
   EXPECT_EQ(m.count(), 1u);
-  EXPECT_EQ(m.FirstSetBit(), 400u);
-  m.Reset(400);
+  EXPECT_EQ(m.FirstSetBit(), 120u);
+  m.Reset(120);
   EXPECT_TRUE(m.none());
 }
 
@@ -125,122 +121,11 @@ TEST(WideClassMaskTest, ForEachSetBitAscending) {
   EXPECT_EQ(got, want);
 }
 
-// --- Kernel differential: every supported tier vs the scalar kernels. ---
-
-std::vector<MaskIsa> SupportedIsas() {
-  std::vector<MaskIsa> isas = {MaskIsa::kScalar};
-  if (MaskIsaSupported(MaskIsa::kAvx2)) isas.push_back(MaskIsa::kAvx2);
-  if (MaskIsaSupported(MaskIsa::kAvx512)) isas.push_back(MaskIsa::kAvx512);
-  return isas;
-}
-
-// Mirror of MaskedBinding's layout: mask at a 16-byte offset inside an
-// 80-byte struct, so stride and offset exercise the unaligned strided path.
-struct StridedRow {
-  uint64_t pad0 = 0;
-  uint64_t pad1 = 0;
-  WideClassMask mask;
-};
-static_assert(sizeof(StridedRow) == 80);
-
-TEST(MaskKernelsTest, TiersAreBitIdentical) {
-  const MaskKernels& scalar = MaskKernelsFor(MaskIsa::kScalar);
-  ASSERT_EQ(scalar.isa, MaskIsa::kScalar);
-  Rng rng(0xfeedbeef);
-
-  for (MaskIsa isa : SupportedIsas()) {
-    const MaskKernels& k = MaskKernelsFor(isa);
-    EXPECT_EQ(k.isa, isa);
-    // Sizes around the vector-width boundaries (0, 1, odd, 2^k, large).
-    for (size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, size_t{7},
-                     size_t{8}, size_t{17}, size_t{64}, size_t{129}}) {
-      std::vector<WideClassMask> rows(n);
-      for (auto& r : rows) r = RandomMask(&rng);
-      const WideClassMask m = RandomMask(&rng, 0.6);
-
-      // and_broadcast
-      std::vector<WideClassMask> a = rows, b = rows;
-      scalar.and_broadcast(a.data(), n, m);
-      k.and_broadcast(b.data(), n, m);
-      EXPECT_EQ(a, b) << MaskIsaName(isa) << " n=" << n;
-      for (size_t i = 0; i < n; ++i) EXPECT_EQ(a[i], rows[i] & m);
-
-      // and_broadcast_strided over the MaskedBinding-shaped rows
-      std::vector<StridedRow> sa(n), sb(n);
-      for (size_t i = 0; i < n; ++i) sa[i].mask = sb[i].mask = rows[i];
-      scalar.and_broadcast_strided(n ? &sa[0].mask : nullptr,
-                                   sizeof(StridedRow), n, m);
-      k.and_broadcast_strided(n ? &sb[0].mask : nullptr, sizeof(StridedRow),
-                              n, m);
-      for (size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(sa[i].mask, rows[i] & m);
-        EXPECT_EQ(sa[i].mask, sb[i].mask) << MaskIsaName(isa) << " i=" << i;
-        EXPECT_EQ(sb[i].pad0, 0u);  // neighbors untouched
-        EXPECT_EQ(sb[i].pad1, 0u);
-      }
-
-      // reduce_and / reduce_or / popcount_rows
-      WideClassMask and_s, and_k, or_s, or_k;
-      scalar.reduce_and(rows.data(), n, &and_s);
-      k.reduce_and(rows.data(), n, &and_k);
-      scalar.reduce_or(rows.data(), n, &or_s);
-      k.reduce_or(rows.data(), n, &or_k);
-      EXPECT_EQ(and_s, and_k) << MaskIsaName(isa) << " n=" << n;
-      EXPECT_EQ(or_s, or_k) << MaskIsaName(isa) << " n=" << n;
-      EXPECT_EQ(scalar.popcount_rows(rows.data(), n),
-                k.popcount_rows(rows.data(), n))
-          << MaskIsaName(isa) << " n=" << n;
-
-      // Scalar kernels vs naive reference.
-      WideClassMask want_and = WideClassMask::FirstN(kMaxBatchClasses);
-      WideClassMask want_or;
-      uint64_t want_pop = 0;
-      for (const auto& r : rows) {
-        want_and &= r;
-        want_or |= r;
-        want_pop += r.count();
-      }
-      EXPECT_EQ(and_s, want_and);
-      EXPECT_EQ(or_s, want_or);
-      EXPECT_EQ(scalar.popcount_rows(rows.data(), n), want_pop);
-    }
-  }
-}
-
-TEST(MaskKernelsTest, ReduceAndOfEmptyIsAllOnes) {
-  for (MaskIsa isa : SupportedIsas()) {
-    WideClassMask out;
-    MaskKernelsFor(isa).reduce_and(nullptr, 0, &out);
-    EXPECT_EQ(out, WideClassMask::FirstN(kMaxBatchClasses)) << MaskIsaName(isa);
-    MaskKernelsFor(isa).reduce_or(nullptr, 0, &out);
-    EXPECT_TRUE(out.none()) << MaskIsaName(isa);
-  }
-}
-
-TEST(MaskKernelsTest, ForceMaskIsaClampsToSupported) {
-  const MaskIsa before = ActiveMaskIsa();
-  // kScalar is always accepted.
-  EXPECT_EQ(ForceMaskIsa(MaskIsa::kScalar), MaskIsa::kScalar);
-  EXPECT_EQ(ActiveMaskIsa(), MaskIsa::kScalar);
-  EXPECT_EQ(ActiveMaskKernels().isa, MaskIsa::kScalar);
-  // Requests are clamped to the best supported tier at or below.
-  MaskIsa got = ForceMaskIsa(MaskIsa::kAvx512);
-  EXPECT_TRUE(MaskIsaSupported(got));
-  if (MaskIsaSupported(MaskIsa::kAvx512)) {
-    EXPECT_EQ(got, MaskIsa::kAvx512);
-  } else if (MaskIsaSupported(MaskIsa::kAvx2)) {
-    EXPECT_EQ(got, MaskIsa::kAvx2);
-  } else {
-    EXPECT_EQ(got, MaskIsa::kScalar);
-  }
-  EXPECT_EQ(ActiveMaskIsa(), got);
-  ForceMaskIsa(before);  // restore for any tests sharing the process
-}
-
+// The benchmark's provenance line records the mask instruction set; the
+// mask algebra is plain inline code, so the one name is "scalar".
 TEST(MaskKernelsTest, NamesAreStable) {
   EXPECT_STREQ(MaskIsaName(MaskIsa::kScalar), "scalar");
-  EXPECT_STREQ(MaskIsaName(MaskIsa::kAvx2), "avx2");
-  EXPECT_STREQ(MaskIsaName(MaskIsa::kAvx512), "avx512");
+  EXPECT_STREQ(MaskIsaName(ActiveMaskIsa()), "scalar");
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
 // Page-at-a-time scans (src/exec/page_run.h):
-//  - decoder truth: both cursors' per-node accessibility equals the
-//    DolLabeling ground truth whatever order the nodes are visited in
+//  - decoder truth: the scan cursor's per-node accessibility equals the
+//    DolLabeling ground truth at both widths (one class per subject, and
+//    every subject in one mask) whatever order the nodes are visited in
 //    (ascending, descending, seeded random), across seeds, a
 //    visibility-clustered store, and a store whose pages split under ACL
 //    updates;
 //  - pin discipline: a scan holds at most one pin per cursor, and nothing
-//    stays pinned after MatchFragment (both matchers), EvaluatePrepared,
-//    BatchEvaluator::Evaluate, ShardCoordinator::EvaluateForSubjects, or a
-//    scan that fails midway on an unreadable page;
+//    stays pinned after MatchFragment (one class and several),
+//    EvaluatePrepared, BatchEvaluator::Evaluate,
+//    ShardCoordinator::EvaluateForSubjects, or a scan that fails midway on
+//    an unreadable page;
 //  - cost: a ChildWalk over siblings on one page is one pool fetch;
 //  - concurrency: four reader threads over a pool whose one shard holds
 //    exactly four frames never exhaust it (a fetching cursor has already
@@ -28,11 +30,9 @@
 #include "core/dol_labeling.h"
 #include "core/secure_store.h"
 #include "exec/multi_cursor.h"
-#include "exec/secure_cursor.h"
 #include "query/batch_evaluator.h"
 #include "query/batch_matcher.h"
 #include "query/evaluator.h"
-#include "query/matcher.h"
 #include "query/xpath_parser.h"
 #include "serve/shard_coordinator.h"
 #include "serve/sharded_store.h"
@@ -156,22 +156,26 @@ TEST_P(CursorTruthTest, BothCursorsMatchLabelingInEveryOrder) {
   SecureStore::SnapshotPin pin(store);
 
   for (const std::vector<NodeId>& order : VisitOrders(n, seed)) {
+    // Width 1: one subject per cursor, reading the subject's column.
     for (SubjectId s = 0; s < kNumSubjects; ++s) {
       for (bool page_skip : {true, false}) {
-        SecureCursor cursor(store, {/*secure=*/true, s, page_skip});
+        MultiSubjectCursor::Options copts;
+        copts.page_skip = page_skip;
+        MultiSubjectCursor cursor(store, {s}, copts);
         ASSERT_TRUE(cursor.Attach().ok());
-        ScopedScan<SecureCursor> scan(&cursor);
+        ScopedScan<MultiSubjectCursor> scan(&cursor);
         for (NodeId u : order) {
           NokRecord rec{};
-          bool accessible = false;
-          auto fetched = cursor.FetchCandidate(u, &rec, &accessible);
+          ClassMask access;
+          auto fetched =
+              cursor.FetchCandidate(u, cursor.FullMask(), &rec, &access);
           ASSERT_TRUE(fetched.ok()) << fetched.status();
           if (!*fetched) {
             ASSERT_TRUE(page_skip);
             ASSERT_FALSE(f.truth[s][u]) << "skipped node " << u;
             continue;
           }
-          ASSERT_EQ(accessible, f.truth[s][u] != 0)
+          ASSERT_EQ(access.Test(0), f.truth[s][u] != 0)
               << "node " << u << " subject " << s;
           ASSERT_EQ(rec.depth, f.doc.Depth(u));
           ASSERT_EQ(rec.subtree_size, f.doc.SubtreeSize(u));
@@ -180,6 +184,7 @@ TEST_P(CursorTruthTest, BothCursorsMatchLabelingInEveryOrder) {
       }
     }
 
+    // Every subject in one mask, reading the transposed columns.
     std::vector<SubjectId> reps;
     for (SubjectId s = 0; s < kNumSubjects; ++s) reps.push_back(s);
     MultiSubjectCursor batch(store, reps, {});
@@ -229,15 +234,12 @@ TEST(PageRunPinTest, EveryScanEntryPointReleasesItsPin) {
   for (const char* xpath : kQueries) {
     PreparedQuery pq = Prepare(xpath);
     SecureStore::SnapshotPin pin(store);
-    // Both matchers, per fragment: nothing stays pinned while the matcher
-    // (and its cursor) is still alive.
-    NokMatcher::Options mo;
-    mo.secure = true;
-    mo.subject = 1;
-    NokMatcher matcher(store, mo);
+    // One class and several, per fragment: nothing stays pinned while the
+    // matcher (and its cursor) is still alive.
+    MultiSubjectMatcher matcher(store, {1}, {});
     MultiSubjectMatcher batch_matcher(store, subjects, {});
     for (size_t fr = 0; fr < pq.query.fragments.size(); ++fr) {
-      std::vector<FragmentMatch> out;
+      std::vector<BatchFragmentMatch> out;
       ASSERT_TRUE(
           matcher.MatchFragment(pq.query.fragments[fr], pq.designated[fr], &out)
               .ok());
@@ -312,11 +314,11 @@ TEST(PageRunPinTest, ScanFailingMidwayReleasesItsPin) {
   for (SubjectId s = 0; s < kNumSubjects; ++s) subjects.push_back(s);
   SecureStore::SnapshotPin pin(store);
   for (bool secure : {false, true}) {
-    NokMatcher::Options mo;
+    MultiSubjectMatcher::Options mo;
     mo.secure = secure;
     mo.page_skip = false;  // the bad page must be read, whatever its codes
-    NokMatcher matcher(store, mo);
-    std::vector<FragmentMatch> out;
+    MultiSubjectMatcher matcher(store, {0}, mo);
+    std::vector<BatchFragmentMatch> out;
     Status st = matcher.MatchFragment(pq.query.fragments[0],
                                       pq.designated[0], &out);
     EXPECT_EQ(st.code(), StatusCode::kIOError) << st;
@@ -364,21 +366,24 @@ TEST(PageRunCostTest, ChildWalkOverOnePageIsOneFetch) {
   NokRecord prec = *nok->Record(parent);
 
   for (SubjectId s = 0; s < kNumSubjects; ++s) {
-    SecureCursor cursor(store, {/*secure=*/true, s, /*page_skip=*/false});
+    MultiSubjectCursor::Options copts;
+    copts.page_skip = false;
+    MultiSubjectCursor cursor(store, {s}, copts);
     ASSERT_TRUE(cursor.Attach().ok());
-    ScopedScan<SecureCursor> scan(&cursor);
+    ScopedScan<MultiSubjectCursor> scan(&cursor);
     IoStatsSnapshot before = store->io_stats().Snapshot();
-    SecureCursor::ChildWalk walk(&cursor, parent, prec);
+    MultiSubjectCursor::ChildWalk walk(&cursor, parent, prec,
+                                       cursor.FullMask());
     std::vector<NodeId> got;
     NodeId u = kInvalidNode;
     NokRecord rec{};
-    bool accessible = false;
+    ClassMask access;
     for (;;) {
-      auto more = walk.Next(&u, &rec, &accessible);
+      auto more = walk.Next(&u, &rec, &access);
       ASSERT_TRUE(more.ok());
       if (!*more) break;
       got.push_back(u);
-      EXPECT_EQ(accessible, f.truth[s][u] != 0);
+      EXPECT_EQ(access.Test(0), f.truth[s][u] != 0);
     }
     IoStatsSnapshot delta = store->io_stats().Snapshot() - before;
     EXPECT_EQ(got, children);

@@ -1,20 +1,25 @@
-// Exercises the execution layer (src/exec) directly against the primitives
-// it unified:
-//  - SecureCursor::FetchCandidate agrees with SecureStore::Accessible on
-//    every node, page skip on or off;
-//  - the cursor's column-derived page verdicts and the header-direct
+// Exercises the execution layer's scan cursor (src/exec/multi_cursor.h)
+// directly against the primitives it unified, at width 1 (a single
+// subject: one-class column access) and at a multi-class width (the
+// transposed-column mask table):
+//  - FetchCandidate agrees with SecureStore::Accessible on every node, page
+//    skip on or off;
+//  - the cursor's page dead masks and the header-direct
 //    SecureStore::PageWholly* tests agree on every page of a seeded store
 //    for every subject, and match per-node ground truth (the
 //    single-classification regression — both run through ClassifyPage);
+//  - Attach rejects unknown subjects, and either access table denies codes
+//    past it;
 //  - ChildWalk yields exactly the children a manual FollowingSibling walk
-//    yields, with per-child accessibility matching the store;
+//    yields, with per-child accessibility matching the store, and the
+//    unchecked walk (AccessSemantics::kNone) decodes no code;
 //  - LabelStreamCursor agrees with DolLabeling::Accessible in monotone
 //    sweeps, including forward gaps (a stream filter skipping suppressed
 //    subtrees never checks the nodes inside them);
 //  - ExecStats invariants: access_only_fetches is structurally zero and
 //    every scanned record is ACCESS-checked.
 
-#include "exec/secure_cursor.h"
+#include "exec/multi_cursor.h"
 
 #include <gtest/gtest.h>
 
@@ -59,18 +64,34 @@ void BuildFixture(Fixture* f, double accessibility = 0.4,
           .ok());
 }
 
+/// Every subject, one class each: bit k of a multi-class cursor's masks is
+/// subject k.
+std::vector<SubjectId> AllSubjects() {
+  std::vector<SubjectId> reps;
+  for (SubjectId s = 0; s < kNumSubjects; ++s) reps.push_back(s);
+  return reps;
+}
+
+MultiSubjectCursor::Options CursorOptions(bool page_skip) {
+  MultiSubjectCursor::Options o;
+  o.page_skip = page_skip;
+  return o;
+}
+
 TEST(SecureCursorTest, FetchCandidateAgreesWithStoreAccessible) {
   Fixture f;
   BuildFixture(&f);
-  for (SubjectId s = 0; s < kNumSubjects; ++s) {
-    for (bool page_skip : {true, false}) {
-      SecureCursor cursor(f.store.get(), {/*secure=*/true, s, page_skip});
+  for (bool page_skip : {true, false}) {
+    // Width 1: each subject alone.
+    for (SubjectId s = 0; s < kNumSubjects; ++s) {
+      MultiSubjectCursor cursor(f.store.get(), {s}, CursorOptions(page_skip));
       ASSERT_TRUE(cursor.Attach().ok());
       cursor.BeginScan();
       for (NodeId n = 0; n < f.store->num_nodes(); ++n) {
         NokRecord rec{};
-        bool accessible = true;
-        auto fetched = cursor.FetchCandidate(n, &rec, &accessible);
+        ClassMask access;
+        auto fetched =
+            cursor.FetchCandidate(n, cursor.FullMask(), &rec, &access);
         ASSERT_TRUE(fetched.ok()) << fetched.status();
         auto want = f.store->Accessible(s, n);
         ASSERT_TRUE(want.ok()) << want.status();
@@ -80,7 +101,8 @@ TEST(SecureCursorTest, FetchCandidateAgreesWithStoreAccessible) {
           EXPECT_TRUE(page_skip);
           EXPECT_FALSE(*want) << "node " << n << " subject " << s;
         } else {
-          EXPECT_EQ(accessible, *want) << "node " << n << " subject " << s;
+          EXPECT_EQ(access.Test(0), *want) << "node " << n << " subject " << s;
+          EXPECT_TRUE(cursor.FullMask().Covers(access));
           auto direct = f.store->nok()->Record(n);
           ASSERT_TRUE(direct.ok());
           EXPECT_EQ(rec.tag, direct->tag);
@@ -88,28 +110,56 @@ TEST(SecureCursorTest, FetchCandidateAgreesWithStoreAccessible) {
           EXPECT_EQ(rec.subtree_size, direct->subtree_size);
         }
       }
+      cursor.EndScan();
       EXPECT_EQ(cursor.stats().access_only_fetches, 0u);
     }
+
+    // Every subject in one mask.
+    MultiSubjectCursor batch(f.store.get(), AllSubjects(),
+                             CursorOptions(page_skip));
+    ASSERT_TRUE(batch.Attach().ok());
+    batch.BeginScan();
+    for (NodeId n = 0; n < f.store->num_nodes(); ++n) {
+      NokRecord rec{};
+      ClassMask access;
+      auto fetched = batch.FetchCandidate(n, batch.FullMask(), &rec, &access);
+      ASSERT_TRUE(fetched.ok()) << fetched.status();
+      if (!*fetched) {
+        EXPECT_TRUE(page_skip);
+      }
+      for (SubjectId s = 0; s < kNumSubjects; ++s) {
+        EXPECT_EQ(*fetched && access.Test(s), *f.store->Accessible(s, n))
+            << "node " << n << " subject " << s;
+      }
+    }
+    batch.EndScan();
+    EXPECT_EQ(batch.stats().access_only_fetches, 0u);
   }
 }
 
-// The single-classification regression: the cursor's page verdicts (the
-// attached column's bit for first_code) and the header-direct SecureStore
+// The single-classification regression: the cursor's page dead masks (the
+// access table's bits for first_code) and the header-direct SecureStore
 // probes (a codebook probe for first_code) classify every page of a seeded
 // document identically for every subject, and both are sound against the
 // embedded per-node codes.
 TEST(SecureCursorTest, PageVerdictsAgreeWithHeaderDirectProbes) {
   Fixture f;
   BuildFixture(&f);
+  MultiSubjectCursor batch(f.store.get(), AllSubjects(), CursorOptions(true));
+  ASSERT_TRUE(batch.Attach().ok());
   size_t dead_pages = 0;
   for (SubjectId s = 0; s < kNumSubjects; ++s) {
-    SecureCursor cursor(f.store.get(), {/*secure=*/true, s});
+    MultiSubjectCursor cursor(f.store.get(), {s}, CursorOptions(true));
     ASSERT_TRUE(cursor.Attach().ok());
     for (size_t p = 0; p < f.store->nok()->num_pages(); ++p) {
-      EXPECT_EQ(cursor.PageWhollyDead(p),
-                f.store->PageWhollyInaccessible(p, s))
+      const bool dead = f.store->PageWhollyInaccessible(p, s);
+      EXPECT_EQ(cursor.PageWhollyDeadFor(p, cursor.FullMask()), dead)
           << "page " << p << " subject " << s;
-      if (cursor.PageWhollyDead(p)) ++dead_pages;
+      EXPECT_EQ(batch.PageDeadMask(p).Test(s), dead)
+          << "batch, page " << p << " subject " << s;
+      EXPECT_EQ(batch.PageWhollyDeadFor(p, ClassMask::Bit(s)), dead)
+          << "batch, page " << p << " subject " << s;
+      if (dead) ++dead_pages;
       // Ground truth from the embedded codes: a "wholly dead" verdict must
       // mean every node in the page is inaccessible (and dually for live).
       const auto& info = f.store->nok()->page_infos()[p];
@@ -120,7 +170,7 @@ TEST(SecureCursorTest, PageVerdictsAgreeWithHeaderDirectProbes) {
         ASSERT_TRUE(acc.ok());
         (*acc ? all_dead : all_live) = false;
       }
-      if (f.store->PageWhollyInaccessible(p, s)) EXPECT_TRUE(all_dead);
+      if (dead) EXPECT_TRUE(all_dead);
       if (f.store->PageWhollyAccessible(p, s)) EXPECT_TRUE(all_live);
     }
   }
@@ -132,17 +182,47 @@ TEST(SecureCursorTest, PageVerdictsAgreeWithHeaderDirectProbes) {
 TEST(SecureCursorTest, AttachRejectsUnknownSubject) {
   Fixture f;
   BuildFixture(&f);
-  SecureCursor cursor(f.store.get(),
-                      {/*secure=*/true, static_cast<SubjectId>(kNumSubjects)});
-  Status st = cursor.Attach();
+  const SubjectId unknown = static_cast<SubjectId>(kNumSubjects);
+  MultiSubjectCursor one(f.store.get(), {unknown}, CursorOptions(true));
+  Status st = one.Attach();
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st;
-  // Out-of-range codes (corrupt page bytes) deny instead of reading past
-  // the column.
-  SecureCursor known(f.store.get(), {/*secure=*/true, /*subject=*/0});
-  ASSERT_TRUE(known.Attach().ok());
-  EXPECT_FALSE(known.CodeAccessible(
-      static_cast<uint32_t>(f.store->codebook().size())));
-  EXPECT_FALSE(known.CodeAccessible(0xFFFFFFFFu));
+  MultiSubjectCursor several(f.store.get(), {0, unknown}, CursorOptions(true));
+  st = several.Attach();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st;
+  // An unchecked scan reads no access table, so no subject is consulted.
+  MultiSubjectCursor::Options unchecked;
+  unchecked.secure = false;
+  MultiSubjectCursor none(f.store.get(), {unknown}, unchecked);
+  EXPECT_TRUE(none.Attach().ok());
+}
+
+// Out-of-range codes (corrupt page bytes, or entries a later commit
+// appended past the snapshot) deny every class instead of reading past the
+// access table: the one class's column, and the transposed-column table.
+TEST(SecureCursorTest, OneClassColumnDeniesCodesPastTheColumn) {
+  Fixture f;
+  BuildFixture(&f);
+  const uint32_t entries = static_cast<uint32_t>(f.store->codebook().size());
+  for (SubjectId s = 0; s < kNumSubjects; ++s) {
+    MultiSubjectCursor cursor(f.store.get(), {s}, CursorOptions(true));
+    ASSERT_TRUE(cursor.Attach().ok());
+    // Some in-range code is accessible to the subject, so the denials
+    // below are not an empty column.
+    bool any_granted = false;
+    for (uint32_t code = 0; code < entries; ++code) {
+      EXPECT_EQ(cursor.AccessMask(code).Test(0),
+                f.store->codebook().Accessible(code, s))
+          << "code " << code << " subject " << s;
+      any_granted |= cursor.AccessMask(code).any();
+    }
+    EXPECT_TRUE(any_granted) << "subject " << s;
+    EXPECT_TRUE(cursor.AccessMask(entries).none());
+    EXPECT_TRUE(cursor.AccessMask(0xFFFFFFFFu).none());
+  }
+  MultiSubjectCursor batch(f.store.get(), AllSubjects(), CursorOptions(true));
+  ASSERT_TRUE(batch.Attach().ok());
+  EXPECT_TRUE(batch.AccessMask(entries).none());
+  EXPECT_TRUE(batch.AccessMask(0xFFFFFFFFu).none());
 }
 
 TEST(SecureCursorTest, ChildWalkMatchesManualWalk) {
@@ -168,61 +248,84 @@ TEST(SecureCursorTest, ChildWalkMatchesManualWalk) {
     std::vector<NodeId> want = manual_children(parent);
     NokRecord prec = *nok->Record(parent);
 
-    // Non-secure walk: every child, in order.
+    // Unchecked walk (kNone): every child, in order, all accessible, and
+    // no DOL code decoded.
     {
-      SecureCursor cursor(f.store.get(), {});
+      MultiSubjectCursor::Options unchecked;
+      unchecked.secure = false;
+      MultiSubjectCursor cursor(f.store.get(), {0}, unchecked);
       ASSERT_TRUE(cursor.Attach().ok());
       cursor.BeginScan();
-      SecureCursor::ChildWalk walk(&cursor, parent, prec);
+      MultiSubjectCursor::ChildWalk walk(&cursor, parent, prec,
+                                         cursor.FullMask());
       std::vector<NodeId> got;
       NodeId u = kInvalidNode;
       NokRecord rec{};
-      bool acc = true;
+      ClassMask acc;
       for (;;) {
         auto more = walk.Next(&u, &rec, &acc);
         ASSERT_TRUE(more.ok());
         if (!*more) break;
         got.push_back(u);
-        EXPECT_TRUE(acc);
+        EXPECT_EQ(acc, cursor.FullMask());
       }
+      cursor.EndScan();
       EXPECT_EQ(got, want);
+      EXPECT_EQ(cursor.stats().codes_checked, 0u);
+      EXPECT_EQ(cursor.stats().pages_skipped, 0u);
+      EXPECT_EQ(cursor.stats().nodes_scanned, want.size());
     }
 
     // Secure walk without page skip: same children, accessibility flags
     // matching the store. With page skip: a subsequence, and everything
-    // dropped lies in a wholly-dead page (hence inaccessible).
-    for (SubjectId s = 0; s < kNumSubjects; ++s) {
-      for (bool page_skip : {false, true}) {
-        SecureCursor cursor(f.store.get(), {/*secure=*/true, s, page_skip});
+    // dropped lies in a page wholly dead for the walk's live classes
+    // (hence inaccessible to each of them). Width 1 per subject, then
+    // every subject in one mask.
+    for (bool page_skip : {false, true}) {
+      std::vector<std::vector<SubjectId>> batches;
+      for (SubjectId s = 0; s < kNumSubjects; ++s) batches.push_back({s});
+      batches.push_back(AllSubjects());
+      for (const std::vector<SubjectId>& reps : batches) {
+        MultiSubjectCursor cursor(f.store.get(), reps,
+                                  CursorOptions(page_skip));
         ASSERT_TRUE(cursor.Attach().ok());
         cursor.BeginScan();
-        SecureCursor::ChildWalk walk(&cursor, parent, prec);
+        MultiSubjectCursor::ChildWalk walk(&cursor, parent, prec,
+                                           cursor.FullMask());
         std::vector<NodeId> got;
         NodeId u = kInvalidNode;
         NokRecord rec{};
-        bool acc = true;
+        ClassMask acc;
         size_t wi = 0;
+        auto expect_dead_for_all = [&](NodeId skipped) {
+          EXPECT_TRUE(page_skip);
+          for (SubjectId s : reps) {
+            EXPECT_FALSE(*f.store->Accessible(s, skipped))
+                << "skipped child " << skipped << " subject " << s;
+          }
+        };
         for (;;) {
           auto more = walk.Next(&u, &rec, &acc);
           ASSERT_TRUE(more.ok());
           if (!*more) break;
           got.push_back(u);
-          EXPECT_EQ(acc, *f.store->Accessible(s, u)) << "child " << u;
+          for (size_t k = 0; k < reps.size(); ++k) {
+            EXPECT_EQ(acc.Test(k), *f.store->Accessible(reps[k], u))
+                << "child " << u << " subject " << reps[k];
+          }
           // Children skipped over (page-skip mode) must be inaccessible.
           while (wi < want.size() && want[wi] != u) {
-            EXPECT_TRUE(page_skip);
-            EXPECT_FALSE(*f.store->Accessible(s, want[wi]))
-                << "skipped child " << want[wi] << " subject " << s;
+            expect_dead_for_all(want[wi]);
             ++wi;
           }
           ASSERT_LT(wi, want.size());
           ++wi;
         }
         while (wi < want.size()) {
-          EXPECT_TRUE(page_skip);
-          EXPECT_FALSE(*f.store->Accessible(s, want[wi]));
+          expect_dead_for_all(want[wi]);
           ++wi;
         }
+        cursor.EndScan();
         if (!page_skip) EXPECT_EQ(got, want);
       }
     }
@@ -256,24 +359,29 @@ TEST(SecureCursorTest, LabelStreamCursorMatchesLabeling) {
 TEST(SecureCursorTest, ScanStatsInvariants) {
   Fixture f;
   BuildFixture(&f);
-  SecureCursor cursor(f.store.get(), {/*secure=*/true, /*subject=*/0,
-                                      /*page_skip=*/true});
-  ASSERT_TRUE(cursor.Attach().ok());
-  cursor.BeginScan();
-  for (NodeId n = 0; n < f.store->num_nodes(); ++n) {
-    NokRecord rec{};
-    bool acc = true;
-    ASSERT_TRUE(cursor.FetchCandidate(n, &rec, &acc).ok());
+  for (const std::vector<SubjectId>& reps :
+       {std::vector<SubjectId>{0}, AllSubjects()}) {
+    MultiSubjectCursor cursor(f.store.get(), reps, CursorOptions(true));
+    ASSERT_TRUE(cursor.Attach().ok());
+    cursor.BeginScan();
+    for (NodeId n = 0; n < f.store->num_nodes(); ++n) {
+      NokRecord rec{};
+      ClassMask acc;
+      ASSERT_TRUE(cursor.FetchCandidate(n, cursor.FullMask(), &rec, &acc).ok());
+    }
+    cursor.EndScan();
+    const ExecStats& st = cursor.stats();
+    // The zero-extra-I/O property as a structural invariant.
+    EXPECT_EQ(st.access_only_fetches, 0u);
+    // Every materialized record was ACCESS-checked; nothing is elided.
+    EXPECT_EQ(st.nodes_scanned, st.codes_checked);
+    EXPECT_EQ(st.checks_elided, 0u);
+    // The fixture's 40% accessibility over 32-record pages produces pages
+    // dead for subject 0; the skip counter must see them.
+    if (reps.size() == 1) {
+      EXPECT_GT(st.pages_skipped, 0u);
+    }
   }
-  const ExecStats& st = cursor.stats();
-  // The zero-extra-I/O property as a structural invariant.
-  EXPECT_EQ(st.access_only_fetches, 0u);
-  // Every materialized record was ACCESS-checked; nothing is elided.
-  EXPECT_EQ(st.nodes_scanned, st.codes_checked);
-  EXPECT_EQ(st.checks_elided, 0u);
-  // The fixture's 40% accessibility over 32-record pages produces dead
-  // pages; the skip counter must see them.
-  EXPECT_GT(st.pages_skipped, 0u);
 }
 
 }  // namespace

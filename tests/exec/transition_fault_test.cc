@@ -4,9 +4,10 @@
 // list that breaks the write-side invariant (slots strictly ascending within
 // (0, num_records)). For each kind of damage — two transitions swapped, a
 // transition at slot 0, a slot at or past num_records — every reader that
-// resolves a code from the page returns kCorruption and never a code: both
-// scan cursors, SecureStore::Accessible, the hidden-interval sweep, both
-// matchers and a whole query, and no failed scan leaves a page pinned.
+// resolves a code from the page returns kCorruption and never a code: the
+// scan cursor at width 1 and at a multi-class width,
+// SecureStore::Accessible, the hidden-interval sweep, the matcher at both
+// widths and a whole query, and no failed scan leaves a page pinned.
 
 #include <gtest/gtest.h>
 
@@ -17,10 +18,8 @@
 #include "core/dol_labeling.h"
 #include "core/secure_store.h"
 #include "exec/multi_cursor.h"
-#include "exec/secure_cursor.h"
 #include "query/batch_matcher.h"
 #include "query/evaluator.h"
-#include "query/matcher.h"
 #include "query/xpath_parser.h"
 #include "storage/paged_file.h"
 #include "workload/synthetic_acl.h"
@@ -130,16 +129,18 @@ TEST_P(TransitionFaultTest, EveryDecoderFailsClosed) {
   const NodeId first = nok->page_infos()[f.ordinal].first_node;
 
   for (SubjectId s = 0; s < kNumSubjects; ++s) {
-    // The per-subject cursor, on the page's first and last node: the list
+    // The one-class cursor, on the page's first and last node: the list
     // is validated before any code on the page is resolved.
     for (bool page_skip : {true, false}) {
-      SecureCursor cursor(store, {/*secure=*/true, s, page_skip});
+      MultiSubjectCursor::Options copts;
+      copts.page_skip = page_skip;
+      MultiSubjectCursor cursor(store, {s}, copts);
       ASSERT_TRUE(cursor.Attach().ok());
-      ScopedScan<SecureCursor> scan(&cursor);
+      ScopedScan<MultiSubjectCursor> scan(&cursor);
       for (NodeId n : {first, f.probe}) {
         NokRecord rec{};
-        bool accessible = false;
-        auto got = cursor.FetchCandidate(n, &rec, &accessible);
+        ClassMask access;
+        auto got = cursor.FetchCandidate(n, cursor.FullMask(), &rec, &access);
         EXPECT_EQ(got.status().code(), StatusCode::kCorruption)
             << "subject " << s << " node " << n;
       }
@@ -167,20 +168,17 @@ TEST_P(TransitionFaultTest, EveryDecoderFailsClosed) {
   EXPECT_EQ(store->HiddenSubtreeIntervals(f.sweeper).status().code(),
             StatusCode::kCorruption);
 
-  // Both matchers fail the same way, and the failed scan leaves nothing
-  // pinned even while the matcher (and its cursor, which held the page
-  // when the decode failed) is still alive.
+  // The matcher fails the same way at width 1 and across every class, and
+  // the failed scan leaves nothing pinned even while the matcher (and its
+  // cursor, which held the page when the decode failed) is still alive.
   PatternTree all;
   ASSERT_TRUE(ParseXPath("//*", &all).ok());
   PreparedQuery pq;
   ASSERT_TRUE(PrepareQuery(all, &pq).ok());
   {
     SecureStore::SnapshotPin pin(store);
-    NokMatcher::Options mo;
-    mo.secure = true;
-    mo.subject = f.sweeper;
-    NokMatcher matcher(store, mo);
-    std::vector<FragmentMatch> out;
+    MultiSubjectMatcher matcher(store, {f.sweeper}, {});
+    std::vector<BatchFragmentMatch> out;
     EXPECT_EQ(matcher
                   .MatchFragment(pq.query.fragments[0], pq.designated[0],
                                  &out)

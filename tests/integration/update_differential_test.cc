@@ -28,7 +28,7 @@
 #include "core/dol_labeling.h"
 #include "core/policy.h"
 #include "core/secure_store.h"
-#include "exec/secure_cursor.h"
+#include "exec/multi_cursor.h"
 #include "query/batch_evaluator.h"
 #include "query/evaluator.h"
 #include "storage/paged_file.h"
@@ -355,7 +355,7 @@ TEST(UpdateEpochTest, PinnedReaderKeepsItsSnapshotAcrossACommit) {
   {
     SecureStore::SnapshotPin pin(f->store.get());
     EpochManager::Epoch pinned = pin.epoch();
-    SecureCursor cursor(f->store.get(), {/*secure=*/true, /*subject=*/0});
+    MultiSubjectCursor cursor(f->store.get(), {0}, {});
     ASSERT_TRUE(cursor.Attach().ok());
 
     // A commit lands while this reader is pinned (single-threaded here;
@@ -374,11 +374,12 @@ TEST(UpdateEpochTest, PinnedReaderKeepsItsSnapshotAcrossACommit) {
     EXPECT_EQ(*pinned_column, *column_before);
     EXPECT_EQ(pinned_column->size(), f->store->codebook().size());
     NokRecord rec{};
-    bool cursor_access = !*before;
-    auto fetched = cursor.FetchCandidate(probe, &rec, &cursor_access);
+    ClassMask cursor_access;
+    auto fetched =
+        cursor.FetchCandidate(probe, cursor.FullMask(), &rec, &cursor_access);
     ASSERT_TRUE(fetched.ok()) << fetched.status();
     if (*fetched) {
-      EXPECT_EQ(cursor_access, *before);
+      EXPECT_EQ(cursor_access.Test(0), *before);
     } else {
       EXPECT_FALSE(*before);  // skipped only on a page dead at the pin
     }

@@ -1,25 +1,32 @@
-// Batch-vs-serial differential tests for the word-parallel multi-subject
-// pipeline: EvaluateForSubjects must produce, for every subject, answers
-// byte-identical to N independent QueryEvaluator::Evaluate calls — across
-// seeds, semantics (binding and view), ordered and unordered sibling
-// matching, page-skip on and off, and >64-class chunking. The batch result's
-// class structure (same-column subjects share one result) and the ExecStats
-// rollup identity are pinned here too.
+// Batch differential tests for the word-parallel multi-subject pipeline:
+// EvaluateForSubjects must produce, for every subject, answers
+// byte-identical to the reference evaluator (reference_eval.h, which shares
+// no code with the engine) and to N independent QueryEvaluator::Evaluate
+// calls, each a one-class run of the same pipeline — across seeds,
+// semantics (binding and view), ordered and unordered sibling matching,
+// page-skip on and off, widths past one mask word, and batches wider than
+// kMaxBatchClasses, which chunk. The batch result's class structure
+// (same-column subjects share one result) and the ExecStats rollup
+// identity are pinned here too.
 
 #include "query/batch_evaluator.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/codebook.h"
 #include "core/dol_labeling.h"
-#include "exec/multi_cursor.h"
 #include "core/secure_store.h"
+#include "exec/multi_cursor.h"
 #include "query/evaluator.h"
 #include "query/query_driver.h"
+#include "reference_eval.h"
 #include "storage/paged_file.h"
 #include "workload/query_generator.h"
 #include "workload/synthetic_acl.h"
@@ -73,6 +80,68 @@ std::vector<PatternTree> MakeQueries(const Document& doc, uint64_t seed,
   return queries;
 }
 
+/// Ground truth for `subject` from the reference evaluator: under binding
+/// semantics a node is usable iff accessible, under view semantics iff it
+/// and every ancestor are. Unordered sibling matching only.
+class Oracle {
+ public:
+  Oracle(const Fixture& f, SubjectId subject) : doc_(&f.doc) {
+    const NodeId n = static_cast<NodeId>(f.doc.NumNodes());
+    accessible_.resize(n);
+    visible_.resize(n);
+    for (NodeId x = 0; x < n; ++x) {
+      accessible_[x] = *f.store->Accessible(subject, x);
+      const NodeId p = f.doc.Parent(x);
+      visible_[x] = accessible_[x] && (p == kInvalidNode || visible_[p]);
+    }
+  }
+
+  std::vector<NodeId> Answers(const PatternTree& q,
+                              AccessSemantics sem) const {
+    const std::vector<char>& usable =
+        sem == AccessSemantics::kView ? visible_ : accessible_;
+    return ReferenceEvaluate(*doc_, q,
+                             [&](NodeId x) { return usable[x] != 0; });
+  }
+
+ private:
+  const Document* doc_;
+  std::vector<char> accessible_;
+  std::vector<char> visible_;
+};
+
+/// Structural scans a batch ran: each chunk carries one "batch" operator.
+size_t ChunksOf(const SubjectBatchResult& b) {
+  size_t chunks = 0;
+  for (const ClassEvalResult& cls : b.classes) {
+    for (const OperatorStats& op : cls.result.operators) {
+      chunks += std::string_view(op.op) == "batch";
+    }
+  }
+  return chunks;
+}
+
+/// The batch evaluated as consecutive sub-batches of at most `span`
+/// subjects — the layout of a narrower mask, reached without any option.
+std::vector<std::vector<NodeId>> EvaluateInSpans(
+    BatchEvaluator* eval, const PatternTree& q,
+    const std::vector<SubjectId>& subjects, const EvalOptions& opts,
+    size_t span) {
+  std::vector<std::vector<NodeId>> answers;
+  for (size_t begin = 0; begin < subjects.size(); begin += span) {
+    const size_t end = std::min(subjects.size(), begin + span);
+    auto r = eval->Evaluate(
+        q, std::span<const SubjectId>(subjects.data() + begin, end - begin),
+        opts);
+    EXPECT_TRUE(r.ok()) << r.status();
+    if (!r.ok()) return {};
+    for (size_t i = 0; i < end - begin; ++i) {
+      answers.push_back(r->ResultFor(i).answers);
+    }
+  }
+  return answers;
+}
+
 void ExpectStatsEqual(const ExecStats& a, const ExecStats& b,
                       const std::string& what) {
   EXPECT_EQ(a.nodes_scanned, b.nodes_scanned) << what;
@@ -96,6 +165,9 @@ TEST_P(BatchEvalTest, BatchEqualsIndependentEvaluations) {
   std::vector<PatternTree> queries = MakeQueries(f.doc, seed, 6);
   std::vector<SubjectId> subjects;
   for (SubjectId s = 0; s < kSubjects; ++s) subjects.push_back(s);
+
+  std::vector<Oracle> oracles;
+  for (SubjectId s : subjects) oracles.emplace_back(f, s);
 
   for (AccessSemantics sem :
        {AccessSemantics::kBinding, AccessSemantics::kView}) {
@@ -122,6 +194,12 @@ TEST_P(BatchEvalTest, BatchEqualsIndependentEvaluations) {
           EXPECT_EQ(got.fragment_matches, r->fragment_matches)
               << "seed " << seed << " subject " << subjects[i] << ": "
               << q.ToString();
+          if (!ordered) {
+            EXPECT_EQ(got.answers, oracles[i].Answers(q, sem))
+                << "reference, seed " << seed << " subject " << subjects[i]
+                << " semantics " << static_cast<int>(sem) << ": "
+                << q.ToString();
+          }
         }
       }
     }
@@ -223,19 +301,21 @@ TEST_P(BatchEvalTest, PageSkipOffMatchesOn) {
 }
 
 TEST(BatchEvalTest, MoreThan64ClassesRunAsOneWideScan) {
-  // 70 subjects with (almost surely) distinct columns used to spill past the
-  // one-word mask and chunk into two scans; the wide mask runs them as one.
-  // Answers must still match the per-subject path, and must also match a
-  // forced-chunking run (the legacy layout, via batch_chunk_classes).
+  // 70 subjects with (almost surely) distinct columns spill past one mask
+  // word; the two-word mask runs them as one scan. Answers must match the
+  // reference evaluator, the one-class path, and the same subjects run as
+  // sub-batches of at most 64 (the one-word layout).
   Fixture f;
   BuildFixture(/*seed=*/7, /*num_subjects=*/70, /*num_profiles=*/70, &f);
   std::vector<SubjectId> subjects;
   for (SubjectId s = 0; s < 70; ++s) subjects.push_back(s);
   const size_t classes =
       GroupSubjectsByColumn(f.store->codebook(), subjects).size();
-  ASSERT_GT(classes, 64u);  // wider than the PR 5 one-word cap
+  ASSERT_GT(classes, 64u);  // wider than one mask word
   ASSERT_LE(classes, kMaxBatchClasses);
   std::vector<PatternTree> queries = MakeQueries(f.doc, 77, 2);
+  std::vector<Oracle> oracles;
+  for (SubjectId s : subjects) oracles.emplace_back(f, s);
 
   BatchEvaluator batch_eval(f.store.get());
   QueryEvaluator eval(f.store.get());
@@ -245,11 +325,11 @@ TEST(BatchEvalTest, MoreThan64ClassesRunAsOneWideScan) {
     auto br = batch_eval.Evaluate(q, subjects, wide);
     ASSERT_TRUE(br.ok()) << br.status();
     EXPECT_EQ(br->exec.subjects_batched, 70u);
+    EXPECT_EQ(ChunksOf(*br), 1u);
 
-    EvalOptions chunked = wide;
-    chunked.batch_chunk_classes = 64;  // the old one-word layout
-    auto bc = batch_eval.Evaluate(q, subjects, chunked);
-    ASSERT_TRUE(bc.ok()) << bc.status();
+    std::vector<std::vector<NodeId>> narrow =
+        EvaluateInSpans(&batch_eval, q, subjects, wide, 64);
+    ASSERT_EQ(narrow.size(), subjects.size());
 
     for (size_t i = 0; i < subjects.size(); ++i) {
       EvalOptions opts = wide;
@@ -258,18 +338,21 @@ TEST(BatchEvalTest, MoreThan64ClassesRunAsOneWideScan) {
       ASSERT_TRUE(r.ok());
       EXPECT_EQ(br->ResultFor(i).answers, r->answers)
           << "subject " << subjects[i] << ": " << q.ToString();
-      EXPECT_EQ(bc->ResultFor(i).answers, r->answers)
-          << "chunked, subject " << subjects[i] << ": " << q.ToString();
+      EXPECT_EQ(br->ResultFor(i).answers,
+                oracles[i].Answers(q, AccessSemantics::kBinding))
+          << "reference, subject " << subjects[i] << ": " << q.ToString();
+      EXPECT_EQ(narrow[i], r->answers)
+          << "64-subject spans, subject " << subjects[i] << ": "
+          << q.ToString();
     }
   }
 }
 
-// Width sweep across the word boundaries the wide mask has to get right:
-// just past one word (65 and 72 — the latter a mid-word width with one
-// distinct column per subject), multi-word (130), and the full mask (512,
-// via 512 subjects whose profiles collide down to ~hundreds of classes plus
-// a distinct-column run at smaller width). Wide scan == chunked scan ==
-// per-subject Evaluate, across binding/view and ordered/unordered.
+// Width sweep across the word boundaries the two-word mask has to get
+// right: just past one word (65, and 72 with one distinct column per
+// subject — a mid-word width) in one scan, and 130 classes, which chunk
+// into two scans. Wide batch == 64-subject spans == per-subject Evaluate
+// == the reference evaluator, across binding/view and ordered/unordered.
 class WideBatchWidthTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(WideBatchWidthTest, WideEqualsChunkedEqualsPerSubject) {
@@ -282,7 +365,10 @@ TEST_P(WideBatchWidthTest, WideEqualsChunkedEqualsPerSubject) {
   const size_t classes =
       GroupSubjectsByColumn(f.store->codebook(), subjects).size();
   ASSERT_GT(classes, 64u);
-  ASSERT_LE(classes, kMaxBatchClasses);
+  const size_t chunks =
+      (classes + kMaxBatchClasses - 1) / kMaxBatchClasses;
+  std::vector<Oracle> oracles;
+  for (SubjectId s : subjects) oracles.emplace_back(f, s);
 
   std::vector<PatternTree> queries = MakeQueries(f.doc, 91 + width, 2);
   BatchEvaluator batch_eval(f.store.get());
@@ -299,12 +385,12 @@ TEST_P(WideBatchWidthTest, WideEqualsChunkedEqualsPerSubject) {
         EXPECT_EQ(br->exec.subjects_batched, width);
         EXPECT_EQ(br->exec.classes_evaluated, classes);
         EXPECT_EQ(br->exec.access_only_fetches, 0u);
+        EXPECT_EQ(ChunksOf(*br), chunks);
 
-        // The pre-wide-mask layout: chunks of at most 64 classes.
-        EvalOptions chunked = wide;
-        chunked.batch_chunk_classes = 64;
-        auto bc = batch_eval.Evaluate(q, subjects, chunked);
-        ASSERT_TRUE(bc.ok()) << bc.status();
+        // The one-word layout: sub-batches of at most 64 subjects.
+        std::vector<std::vector<NodeId>> narrow =
+            EvaluateInSpans(&batch_eval, q, subjects, wide, 64);
+        ASSERT_EQ(narrow.size(), subjects.size());
 
         for (size_t i = 0; i < subjects.size(); ++i) {
           EvalOptions opts = wide;
@@ -315,9 +401,14 @@ TEST_P(WideBatchWidthTest, WideEqualsChunkedEqualsPerSubject) {
               << "width " << width << " subject " << subjects[i]
               << " semantics " << static_cast<int>(sem) << " ordered "
               << ordered << ": " << q.ToString();
-          EXPECT_EQ(bc->ResultFor(i).answers, br->ResultFor(i).answers)
-              << "chunked diverged, width " << width << " subject "
+          EXPECT_EQ(narrow[i], br->ResultFor(i).answers)
+              << "64-subject spans diverged, width " << width << " subject "
               << subjects[i] << ": " << q.ToString();
+          if (!ordered) {
+            EXPECT_EQ(br->ResultFor(i).answers, oracles[i].Answers(q, sem))
+                << "reference, width " << width << " subject "
+                << subjects[i] << ": " << q.ToString();
+          }
         }
       }
     }
@@ -328,43 +419,54 @@ INSTANTIATE_TEST_SUITE_P(Widths, WideBatchWidthTest,
                          ::testing::Values(65, 72, 130));
 
 TEST(BatchEvalTest, FullWidthBatchRunsAsOneScan) {
-  // kMaxBatchClasses subjects exercising every word of the mask. The doc is
-  // kept small to bound runtime; semantics coverage lives in
-  // WideBatchWidthTest.
+  // kMaxBatchClasses subjects exercise both words of the mask in one scan;
+  // 512 subjects chunk into several. The doc is kept small to bound
+  // runtime; semantics coverage lives in WideBatchWidthTest.
+  constexpr size_t kSubjects = 512;
   Fixture f;
-  BuildFixture(/*seed=*/41, kMaxBatchClasses, kMaxBatchClasses, &f);
+  BuildFixture(/*seed=*/41, kSubjects, kSubjects, &f);
   std::vector<SubjectId> subjects;
-  for (SubjectId s = 0; s < kMaxBatchClasses; ++s) subjects.push_back(s);
-  const size_t classes =
-      GroupSubjectsByColumn(f.store->codebook(), subjects).size();
+  for (SubjectId s = 0; s < kSubjects; ++s) subjects.push_back(s);
+  const std::vector<SubjectId> full(subjects.begin(),
+                                    subjects.begin() + kMaxBatchClasses);
+  const size_t classes = GroupSubjectsByColumn(f.store->codebook(), full).size();
   ASSERT_GT(classes, kMaxBatchClasses / 2);
   ASSERT_LE(classes, kMaxBatchClasses);
+  const size_t all_classes =
+      GroupSubjectsByColumn(f.store->codebook(), subjects).size();
+  ASSERT_GT(all_classes, kMaxBatchClasses);
 
   PatternTree q = MakeQueries(f.doc, 123, 1)[0];
   BatchEvaluator batch_eval(f.store.get());
   QueryEvaluator eval(f.store.get());
   EvalOptions opts;
   opts.semantics = AccessSemantics::kBinding;
-  auto br = batch_eval.Evaluate(q, subjects, opts);
+  auto br = batch_eval.Evaluate(q, full, opts);
   ASSERT_TRUE(br.ok()) << br.status();
   EXPECT_EQ(br->exec.classes_evaluated, classes);
-  // Spot-check parity on a spread of subjects (full parity at this width is
-  // covered by the chunked differential below).
-  for (SubjectId s : {SubjectId{0}, SubjectId{64}, SubjectId{65},
-                      SubjectId{255}, SubjectId{256},
-                      static_cast<SubjectId>(kMaxBatchClasses - 1)}) {
+  EXPECT_EQ(ChunksOf(*br), 1u);
+  auto bc = batch_eval.Evaluate(q, subjects, opts);
+  ASSERT_TRUE(bc.ok()) << bc.status();
+  EXPECT_EQ(bc->exec.classes_evaluated, all_classes);
+  EXPECT_EQ(ChunksOf(*bc),
+            (all_classes + kMaxBatchClasses - 1) / kMaxBatchClasses);
+  // Full parity between the one-scan and the chunked batch on their shared
+  // subjects; spot checks against the one-class path and the reference
+  // evaluator on both sides of every word and chunk boundary.
+  for (size_t i = 0; i < full.size(); ++i) {
+    EXPECT_EQ(bc->ResultFor(i).answers, br->ResultFor(i).answers)
+        << "subject " << i;
+  }
+  for (SubjectId s : {SubjectId{0}, SubjectId{63}, SubjectId{64},
+                      SubjectId{127}, SubjectId{128}, SubjectId{255},
+                      SubjectId{256}, SubjectId{kSubjects - 1}}) {
     opts.subject = s;
     auto r = eval.Evaluate(q, opts);
     ASSERT_TRUE(r.ok());
-    EXPECT_EQ(br->ResultFor(s).answers, r->answers) << "subject " << s;
-  }
-  EvalOptions chunked = opts;
-  chunked.batch_chunk_classes = 64;
-  auto bc = batch_eval.Evaluate(q, subjects, chunked);
-  ASSERT_TRUE(bc.ok()) << bc.status();
-  for (size_t i = 0; i < subjects.size(); ++i) {
-    EXPECT_EQ(bc->ResultFor(i).answers, br->ResultFor(i).answers)
-        << "subject " << i;
+    EXPECT_EQ(bc->ResultFor(s).answers, r->answers) << "subject " << s;
+    EXPECT_EQ(bc->ResultFor(s).answers,
+              Oracle(f, s).Answers(q, AccessSemantics::kBinding))
+        << "reference, subject " << s;
   }
 }
 

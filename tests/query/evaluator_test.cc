@@ -169,6 +169,74 @@ TEST(EvaluatorTest, SecureEvaluationAddsNoPageReads) {
   }
 }
 
+// AccessSemantics::kNone runs the same cursor with access checks off: the
+// paper's unchecked NoK scan decodes no DOL code and skips no page, and
+// its answers are the reference evaluator's over the whole document.
+TEST(EvaluatorTest, NoneSemanticsDecodesNoCode) {
+  auto f = SecureFixture::Make(6000, 5, 0.3);
+  QueryEvaluator eval(f->store.get());
+  std::vector<std::string> queries(std::begin(kPaperQueries),
+                                   std::end(kPaperQueries));
+  queries.insert(queries.end(), std::begin(kExtraQueries),
+                 std::end(kExtraQueries));
+  uint64_t secure_codes = 0;
+  for (const std::string& q : queries) {
+    PatternTree pattern;
+    ASSERT_TRUE(ParseXPath(q, &pattern).ok()) << q;
+    EvalOptions none;
+    none.semantics = AccessSemantics::kNone;
+    auto got = eval.Evaluate(pattern, none);
+    ASSERT_TRUE(got.ok()) << q << ": " << got.status();
+    EXPECT_EQ(got->answers,
+              ReferenceEvaluate(f->doc, pattern, [](NodeId) { return true; }))
+        << q;
+    EXPECT_EQ(got->exec.codes_checked, 0u) << q;
+    EXPECT_EQ(got->exec.pages_skipped, 0u) << q;
+    EvalOptions binding;
+    binding.semantics = AccessSemantics::kBinding;
+    auto secure = eval.Evaluate(pattern, binding);
+    ASSERT_TRUE(secure.ok()) << q;
+    secure_codes += secure->exec.codes_checked;
+  }
+  // The same queries under binding semantics do decode codes.
+  EXPECT_GT(secure_codes, 0u);
+}
+
+// A single subject runs as a one-class chunk of the batch pipeline, and its
+// result keeps the single-subject shape: "scan", "visibility" (view only)
+// and "join" operators, no batch counters, one epoch pin, exec as the sum
+// of the operators, and no access-only fetch.
+TEST(EvaluatorTest, SingleSubjectResultKeepsItsShape) {
+  auto f = SecureFixture::Make(6000, 9, 0.5);
+  QueryEvaluator eval(f->store.get());
+  for (AccessSemantics sem : {AccessSemantics::kNone,
+                              AccessSemantics::kBinding,
+                              AccessSemantics::kView}) {
+    for (const char* q : kPaperQueries) {
+      EvalOptions opts;
+      opts.semantics = sem;
+      auto r = eval.EvaluateXPath(q, opts);
+      ASSERT_TRUE(r.ok()) << q << ": " << r.status();
+      std::vector<std::string> ops;
+      for (const OperatorStats& op : r->operators) ops.push_back(op.op);
+      const std::vector<std::string> want =
+          sem == AccessSemantics::kView
+              ? std::vector<std::string>{"scan", "visibility", "join"}
+              : std::vector<std::string>{"scan", "join"};
+      EXPECT_EQ(ops, want) << q;
+      const ExecStats sum = RollUp(r->operators);
+      EXPECT_EQ(r->exec.nodes_scanned, sum.nodes_scanned) << q;
+      EXPECT_EQ(r->exec.codes_checked, sum.codes_checked) << q;
+      EXPECT_EQ(r->exec.pages_skipped, sum.pages_skipped) << q;
+      EXPECT_EQ(r->exec.epoch_pins, 1u) << q;
+      EXPECT_EQ(r->exec.subjects_batched, 0u) << q;
+      EXPECT_EQ(r->exec.classes_evaluated, 0u) << q;
+      EXPECT_EQ(r->exec.access_only_fetches, 0u) << q;
+      EXPECT_GE(r->fragment_matches, r->answers.empty() ? 0u : 1u) << q;
+    }
+  }
+}
+
 TEST(EvaluatorTest, PageSkipAvoidsReadsAtLowAccessibility) {
   // When most of the document is inaccessible, the in-memory page headers
   // let ε-NoK skip whole pages (Section 3.3's optimization; the paper notes

@@ -1,8 +1,8 @@
 // Negative paths of the query front end: malformed XPath strings and
 // malformed pattern trees must come back as clean InvalidArgument statuses
-// (exercised under ASan in CI — no crashes, no leaks), and evaluating
-// against unknown tags or subjects must degrade gracefully rather than
-// fault.
+// (exercised under ASan in CI — no crashes, no leaks), evaluating against
+// unknown tags must degrade gracefully rather than fault, and an unknown
+// subject is InvalidArgument at every entry point.
 
 #include <gtest/gtest.h>
 
@@ -13,8 +13,11 @@
 #include "core/accessibility_map.h"
 #include "core/dol_labeling.h"
 #include "core/secure_store.h"
+#include "query/batch_evaluator.h"
 #include "query/decomposer.h"
 #include "query/evaluator.h"
+#include "query/query_cache.h"
+#include "query/query_driver.h"
 #include "query/xpath_parser.h"
 #include "storage/paged_file.h"
 #include "xml/xml_parser.h"
@@ -145,21 +148,80 @@ TEST(EvaluatorErrorPathsTest, UnknownTagsYieldEmptyAnswersNotErrors) {
   }
 }
 
+// One contract at every entry point: a subject the store does not know is
+// InvalidArgument under access-controlled semantics, raised before any
+// cache probe or scan — never the empty answer of an all-denied column.
+// Subject-independent evaluation (kNone) ignores the subject.
 TEST(EvaluatorErrorPathsTest, UnknownSubjectIsInvalidArgument) {
   Fixture f;
   BuildTinyFixture(&f);
-  QueryEvaluator eval(f.store.get());
-  EvalOptions opts;
-  opts.semantics = AccessSemantics::kBinding;
-  opts.subject = 99;  // only subject 0 exists
-  auto r = eval.EvaluateXPath("//a", opts);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  SecureStore* store = f.store.get();
+  PatternTree pattern;
+  ASSERT_TRUE(ParseXPath("//a", &pattern).ok());
+  constexpr SubjectId kUnknown = 99;  // only subject 0 exists
+  const std::vector<SubjectId> mixed = {0, kUnknown};
 
-  opts.semantics = AccessSemantics::kView;
-  r = eval.EvaluateXPath("//a", opts);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  cache::ResultCache results;
+  QueryPlanCache plans;
+  AttachResultCacheInvalidation(store, &results);
+  QueryCaches cached;
+  cached.results = &results;
+  cached.plans = &plans;
+
+  for (AccessSemantics sem :
+       {AccessSemantics::kBinding, AccessSemantics::kView}) {
+    QueryEvaluator eval(store);
+    EvalOptions opts;
+    opts.semantics = sem;
+    opts.subject = kUnknown;
+    auto r = eval.EvaluateXPath("//a", opts);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+
+    for (const QueryCaches& caches : {QueryCaches{}, cached}) {
+      // An all-denied answer for a real subject could sit in the cache
+      // under the unknown subject's fingerprint; the check precedes it.
+      r = EvaluateWithCaches(store, &eval, pattern, opts, caches);
+      ASSERT_FALSE(r.ok());
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+
+      BatchEvaluator batch(store, caches);
+      for (const std::vector<SubjectId>& subjects :
+           {std::vector<SubjectId>{kUnknown}, mixed}) {
+        auto b = batch.Evaluate(pattern, subjects, opts);
+        ASSERT_FALSE(b.ok());
+        EXPECT_EQ(b.status().code(), StatusCode::kInvalidArgument);
+      }
+
+      QueryDriverOptions dopts;
+      dopts.semantics = sem;
+      dopts.caches = caches;
+      QueryDriver driver(store, dopts);
+      auto b = driver.EvaluateForSubjects(pattern, mixed);
+      ASSERT_FALSE(b.ok());
+      EXPECT_EQ(b.status().code(), StatusCode::kInvalidArgument);
+      // In a QueryDriver::Run batch only the unknown subject's job fails.
+      BatchResult run = driver.Run({{0, pattern}, {kUnknown, pattern}});
+      ASSERT_TRUE(run.outcomes[0].status.ok()) << run.outcomes[0].status;
+      EXPECT_EQ(run.outcomes[0].result.answers,
+                (std::vector<NodeId>{1, 3}));
+      EXPECT_EQ(run.outcomes[1].status.code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(run.stats.failed, 1u);
+    }
+  }
+
+  // Without access control the subject plays no part.
+  QueryEvaluator eval(store);
+  EvalOptions none;
+  none.semantics = AccessSemantics::kNone;
+  none.subject = kUnknown;
+  auto r = eval.EvaluateXPath("//a", none);
+  ASSERT_TRUE(r.ok()) << r.status();
+  EXPECT_EQ(r->answers, (std::vector<NodeId>{1, 3}));
+  BatchEvaluator batch(store);
+  auto b = batch.Evaluate(pattern, mixed, none);
+  ASSERT_TRUE(b.ok()) << b.status();
+  EXPECT_EQ(b->ResultFor(1).answers, (std::vector<NodeId>{1, 3}));
 }
 
 TEST(EvaluatorErrorPathsTest, MalformedXPathSurfacesThroughEvaluate) {

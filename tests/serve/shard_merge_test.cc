@@ -15,6 +15,7 @@
 
 #include "core/codebook.h"
 #include "query/batch_evaluator.h"
+#include "query/query_cache.h"
 #include "query/query_driver.h"
 #include "query/xpath_parser.h"
 #include "serve/shard_coordinator.h"
@@ -159,9 +160,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ShardDifferentialTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
 
 // Batch widths across the mask-word boundaries: 1 (degenerate), 64 (one
-// word), 512 (the full wide mask). Per-subject answers from the scattered
-// batch pipeline must equal BatchEvaluator's (itself pinned to the
-// per-subject evaluator), across eight seeds and both secure semantics.
+// word), 512 (about 256 classes: several chunks of the two-word mask).
+// Per-subject answers from the scattered batch pipeline must equal
+// BatchEvaluator's (itself pinned to the reference evaluator), across
+// eight seeds and both secure semantics.
 class ShardBatchWidthTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(ShardBatchWidthTest, ScatteredBatchMatchesSingleStoreBatch) {
@@ -383,6 +385,59 @@ TEST(ShardMergeTest, AllDeadShardIsSkippedConsistently) {
       // A page on a window boundary can be counted skipped by both of its
       // neighbors, so the scattered count dominates the single store's.
       EXPECT_GE(sr->exec.pages_skipped, rr->exec.pages_skipped);
+    }
+  }
+}
+
+// The single-store contract for unknown subjects holds at every
+// coordinator entry point: InvalidArgument under access-controlled
+// semantics before any cache probe or scan, and in Run() only the affected
+// job fails.
+TEST(ShardMergeTest, UnknownSubjectIsInvalidArgument) {
+  ShardFixtureOptions o;
+  o.num_subjects = 3;
+  o.num_profiles = 3;
+  ShardFixture f;
+  BuildShardFixture(o, &f);
+  const SubjectId unknown = static_cast<SubjectId>(o.num_subjects);
+  PatternTree q = MakeShardQueries(f.doc, 5, 1)[0];
+
+  cache::ResultCache results;
+  QueryPlanCache plans;
+  AttachResultCacheInvalidation(f.sharded->store(), &results);
+  QueryCaches cached;
+  cached.results = &results;
+  cached.plans = &plans;
+
+  for (AccessSemantics sem :
+       {AccessSemantics::kBinding, AccessSemantics::kView}) {
+    for (const QueryCaches& caches : {QueryCaches{}, cached}) {
+      ShardCoordinatorOptions copts;
+      copts.semantics = sem;
+      copts.caches = caches;
+      ShardCoordinator coord(f.sharded.get(), copts);
+      auto r = coord.Evaluate(q, unknown);
+      ASSERT_FALSE(r.ok());
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+      for (const std::vector<SubjectId>& subjects :
+           {std::vector<SubjectId>{unknown}, std::vector<SubjectId>{0, unknown}}) {
+        auto b = coord.EvaluateForSubjects(q, subjects);
+        ASSERT_FALSE(b.ok());
+        EXPECT_EQ(b.status().code(), StatusCode::kInvalidArgument);
+      }
+      BatchResult run = coord.Run({{0, q}, {unknown, q}, {1, q}});
+      EXPECT_TRUE(run.outcomes[0].status.ok()) << run.outcomes[0].status;
+      EXPECT_EQ(run.outcomes[1].status.code(), StatusCode::kInvalidArgument);
+      EXPECT_TRUE(run.outcomes[2].status.ok()) << run.outcomes[2].status;
+      EXPECT_EQ(run.stats.failed, 1u);
+      EXPECT_EQ(run.stats.first_error.code(), StatusCode::kInvalidArgument);
+      QueryEvaluator eval(f.single.get());
+      EvalOptions eopts;
+      eopts.semantics = sem;
+      eopts.subject = 1;
+      auto want = eval.Evaluate(q, eopts);
+      ASSERT_TRUE(want.ok());
+      EXPECT_EQ(run.outcomes[2].result.answers, want->answers);
     }
   }
 }
